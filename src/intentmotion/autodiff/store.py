@@ -123,13 +123,20 @@ class ParamStore:
         with open(path, "rb") as f:
             if f.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
                 raise OptimizerError(f"{path}: not an intentmotion checkpoint")
-            (count,) = struct.unpack("<I", f.read(4))
+
+            def read(n):
+                data = f.read(n)
+                if len(data) != n:
+                    raise OptimizerError(f"{path}: truncated checkpoint")
+                return data
+
+            (count,) = struct.unpack("<I", read(4))
             for _ in range(count):
-                (nlen,) = struct.unpack("<H", f.read(2))
-                name = f.read(nlen).decode()
-                trainable, ndim = struct.unpack("<BB", f.read(2))
-                shape = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
-                payload = f.read(8 * int(np.prod(shape)) if ndim else 8)
+                (nlen,) = struct.unpack("<H", read(2))
+                name = read(nlen).decode()
+                trainable, ndim = struct.unpack("<BB", read(2))
+                shape = struct.unpack(f"<{ndim}I", read(4 * ndim))
+                payload = read(8 * int(np.prod(shape)) if ndim else 8)
                 values = np.frombuffer(payload, dtype="<f8").reshape(shape)
                 store.add(name, values, bool(trainable))
         return store

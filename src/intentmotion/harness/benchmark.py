@@ -156,8 +156,8 @@ def affordance_place_goal(model, predictor, problem):
     onehot = sc.onehot_code(ep.target_type, "table")
     features = sc.plane_feature_stack(gen.TABLE, ep.objects).stack()
     dist = af.placeability_predict(model, traj, onehot, features[None])[0]
-    free = tj.unroll(predictor, problem["observed"],
-                     np.zeros((tj.HORIZON, predictor.state_dim))).values
+    free, _ = tj.rollout(predictor, tj.warm_start(predictor, problem["observed"]),
+                         np.zeros((tj.HORIZON, predictor.state_dim)))
     lo = 3 * sc.R_WRIST
     wrist_xy = gen.TABLE.to_plane_frame(free[-1, lo:lo + 2])
     k = dn.mdn_responsible_component(dist, wrist_xy, GOAL_SPREAD)

@@ -434,6 +434,8 @@ def episode_from_jsonl(text):
         elif rec["type"] == "events":
             events = [Event(e["kind"], e["object_id"], e["surface"], e["time"],
                             tuple(e["point"])) for e in rec["events"]]
+    if head is None:
+        raise ValueError("episode JSONL has no scene record")
     _, objects = sc.scene_from_json(json.dumps(head["scene"]))
     return Episode(
         persona=head["persona"], index=head["index"],

@@ -12,6 +12,13 @@ bends the rollout so the right wrist ends at the goal while staying
 close to the learned dynamics.  Place goals target a hover point a
 fixed offset above the predicted place position; grasp goals target
 the point itself.
+
+The optimizer runs on plain numpy: ``warm_start`` runs the observed
+frames once per problem, ``rollout`` steps the cell over the horizon and
+``rollout_adjoint`` back-propagates through time to d(loss)/d(controls).
+The tape version (``unroll``, ``c_goalset``, ``c_lowlevel``) computes the
+same states, bit for bit, and is the reference the numpy path is tested
+against; predictor training still runs on the tape.
 """
 
 from __future__ import annotations
@@ -159,6 +166,113 @@ def c_goalset(predictor, observed, delta, target, wrist_index=sc.R_WRIST):
 
 
 # ---------------------------------------------------------------------------
+# plain-numpy rollout and its adjoint (backpropagation through time)
+#
+# The forward computes the sums of ``_gru_step`` and ``unroll`` in the
+# same order on the same (1, n) shapes, so its states equal the tape's
+# bit for bit.
+
+_GRU_NAMES = ("gru/wz", "gru/uz", "gru/bz", "gru/wr", "gru/ur", "gru/br",
+              "gru/wh", "gru/uh", "gru/bh", "out/w", "out/b")
+
+
+def _np_gru_step(w, x, h):
+    """One cell step on arrays: (h_new, z, r, c)."""
+    wz, uz, bz, wr, ur, br, wh, uh, bh = w[:9]
+    z = 1.0 / (1.0 + np.exp(-np.clip(x @ wz + h @ uz + bz, -500, 500)))
+    r = 1.0 / (1.0 + np.exp(-np.clip(x @ wr + h @ ur + br, -500, 500)))
+    c = np.tanh(x @ wh + (r * h) @ uh + bh)
+    return (1.0 - z) * h + z * c, z, r, c
+
+
+def warm_start(predictor, observed):
+    """(h, s, v) after the observed frames, each a (1, n) array.
+
+    The observed frames do not depend on the controls, so one warm start
+    serves every rollout of a problem.
+    """
+    w = [predictor.store[n].values for n in _GRU_NAMES]
+    obs = np.asarray(observed, dtype=float)
+    h = np.zeros((1, predictor.hidden))
+    vel = np.zeros((1, obs.shape[1]))
+    for i in range(len(obs)):
+        vel = obs[i:i + 1] - obs[i - 1:i] if i > 0 else np.zeros_like(vel)
+        h = _np_gru_step(w, np.concatenate([obs[i:i + 1], vel], axis=-1), h)[0]
+    return h, obs[-1:], vel
+
+
+def rollout(predictor, start, delta):
+    """Predicted states (horizon, D) from a warm start under controls.
+
+    Returns (states, steps); ``steps`` holds each step's previous hidden
+    state and gate activations (h, z, r, c) for ``rollout_adjoint``.
+    """
+    w = [predictor.store[n].values for n in _GRU_NAMES]
+    out_w, out_b = w[9], w[10]
+    h, s, v = start
+    delta = np.asarray(delta, dtype=float)
+    states = np.empty((delta.shape[0], predictor.state_dim))
+    steps = []
+    for k in range(delta.shape[0]):
+        x = np.concatenate([s, v], axis=-1)
+        h_new, z, r, c = _np_gru_step(w, x, h)
+        s_next = s + (h_new @ out_w + out_b) + delta[k:k + 1]
+        if not np.all(np.isfinite(s_next)):
+            raise TrajoptError(f"non-finite state at prediction step {k}")
+        steps.append((h, z, r, c))
+        h, v, s = h_new, s_next - s, s_next
+        states[k] = s[0]
+    return states, steps
+
+
+def rollout_adjoint(predictor, steps, grad_states):
+    """d(loss)/d(controls), shape (horizon, D), given d(loss)/d(states).
+
+    Walks the steps of ``rollout`` backward.  ``gs``, ``gv`` and ``gh``
+    carry the loss gradient with respect to the state, velocity and
+    hidden state that enter the next step.
+    """
+    wz, uz, _, wr, ur, _, wh, uh, _, out_w, _ = (
+        predictor.store[n].values for n in _GRU_NAMES)
+    d = predictor.state_dim
+    grad_states = np.asarray(grad_states, dtype=float)
+    grad = np.empty_like(grad_states)
+    gs = np.zeros((1, d))
+    gv = np.zeros((1, d))
+    gh = np.zeros((1, predictor.hidden))
+    for k in range(len(steps) - 1, -1, -1):
+        h, z, r, c = steps[k]
+        # s_next = s + residual + delta[k] and v_next = s_next - s
+        g_next = gs + gv + grad_states[k:k + 1]
+        grad[k] = g_next[0]
+        gh = gh + g_next @ out_w.T
+        # h_new = (1 - z) * h + z * c
+        g_c = gh * z * (1.0 - c * c)
+        g_rh = g_c @ uh.T
+        g_z = gh * (c - h) * z * (1.0 - z)
+        g_r = g_rh * h * r * (1.0 - r)
+        g_x = g_z @ wz.T + g_r @ wr.T + g_c @ wh.T
+        gh = gh * (1.0 - z) + g_rh * r + g_z @ uz.T + g_r @ ur.T
+        gs = g_next - gv + g_x[:, :d]
+        gv = g_x[:, d:]
+    return grad
+
+
+def goal_objective(predictor, start, delta, target, alpha1=1.0, alpha2=10.0,
+                   wrist_index=sc.R_WRIST):
+    """alpha1 * c_lowlevel + alpha2 * c_goalset from a warm start, and its
+    gradient with respect to the controls: (value, (horizon, D) array)."""
+    traj, steps = rollout(predictor, start, delta)
+    lo = 3 * wrist_index
+    miss = traj[-1, lo:lo + 3] - target
+    value = np.sum(delta * delta) * alpha1 + np.sum(miss * miss) * alpha2
+    grad_traj = np.zeros_like(traj)
+    grad_traj[-1, lo:lo + 3] = 2.0 * alpha2 * miss
+    grad = rollout_adjoint(predictor, steps, grad_traj)
+    return float(value), grad + 2.0 * alpha1 * delta
+
+
+# ---------------------------------------------------------------------------
 # L-BFGS with two-loop recursion and Armijo backtracking
 
 
@@ -256,21 +370,17 @@ def predict_fullbody(predictor, observed, goal, goal_mode="place", alpha1=1.0,
     target = problem.target
     shape = (horizon, predictor.state_dim)
     lo = 3 * wrist_index
+    start = warm_start(predictor, problem.observed)
 
     def objective(x):
-        delta = Tensor(x.reshape(shape))
-        traj = unroll(predictor, problem.observed, delta)
-        wrist = traj[horizon - 1, lo:lo + 3]
-        goal_term = ad.sum_sq(ad.sub(wrist, Tensor(target)))
-        loss = ad.add(ad.mul(ad.sum_sq(delta), alpha1),
-                      ad.mul(goal_term, alpha2))
-        ad.backward(loss)
-        return loss.item(), delta.grad.ravel().copy()
+        value, grad = goal_objective(predictor, start, x.reshape(shape),
+                                     target, alpha1, alpha2, wrist_index)
+        return value, grad.ravel()
 
     x_star, history = lbfgs_minimize(objective, np.zeros(shape).ravel(),
                                      max_iters=max_iters, tol=tol)
     delta_star = x_star.reshape(shape)
-    traj = unroll(predictor, problem.observed, delta_star).values
+    traj, _ = rollout(predictor, start, delta_star)
     final_goal_dist = float(np.linalg.norm(traj[-1, lo:lo + 3] - target))
     diagnostics = {"c_goalset": final_goal_dist**2,
                    "goal_distance": final_goal_dist,
@@ -419,8 +529,9 @@ def evaluate_prediction(predictor, problems, methods=METHODS, alpha1=1.0,
         if "zerovel" in methods:
             preds["zerovel"] = zero_velocity_baseline(observed, HORIZON)
         if "unconstrained" in methods:
-            preds["unconstrained"] = unroll(predictor, observed,
-                                            np.zeros((HORIZON, STATE_DIM))).values
+            preds["unconstrained"], _ = rollout(
+                predictor, warm_start(predictor, observed),
+                np.zeros((HORIZON, predictor.state_dim)))
         if "ours" in methods:
             preds["ours"], _, _ = predict_fullbody(
                 predictor, observed, prob["goals"]["affordance"],

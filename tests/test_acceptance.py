@@ -375,6 +375,7 @@ def benchmark_run():
             "train_time": train_time, "total_time": total_time}
 
 
+@pytest.mark.slow
 def test_criterion_5_placeability_ordering(benchmark_run):
     failures = []
     place = benchmark_run["place"]
@@ -393,6 +394,7 @@ def test_criterion_5_placeability_ordering(benchmark_run):
     _report(5, "placeability test MSE ordering", failures)
 
 
+@pytest.mark.slow
 def test_criterion_6_valid_region_ordering(benchmark_run):
     failures = []
     rates = benchmark_run["rates"]
@@ -405,6 +407,7 @@ def test_criterion_6_valid_region_ordering(benchmark_run):
     _report(6, "valid-region rate ordering", failures)
 
 
+@pytest.mark.slow
 def test_criterion_7_graspability_ordering(benchmark_run):
     failures = []
     grasp = benchmark_run["grasp"]
@@ -418,6 +421,7 @@ def test_criterion_7_graspability_ordering(benchmark_run):
     _report(7, "graspability test MSE ordering", failures)
 
 
+@pytest.mark.slow
 def test_criterion_8_motion_ordering(benchmark_run):
     failures = []
     motion = benchmark_run["motion"]

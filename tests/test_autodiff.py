@@ -202,6 +202,19 @@ class TestParamStore:
         store.save(path)
         assert path.read_bytes().startswith(ad.CHECKPOINT_MAGIC)
 
+    def test_truncated_checkpoint_raises_optimizer_error(self, tmp_path):
+        store = ParamStore()
+        store.add("enc/k", np.arange(6.0).reshape(2, 3), trainable=False)
+        store.add("b", np.ones(2))
+        path = tmp_path / "full.ckpt"
+        store.save(path)
+        data = path.read_bytes()
+        cut = tmp_path / "cut.ckpt"
+        for n in range(len(data)):
+            cut.write_bytes(data[:n])
+            with pytest.raises(ad.OptimizerError, match="cut.ckpt"):
+                ParamStore.load(cut)
+
     def test_determinism_same_seed(self):
         def run():
             rng = np.random.default_rng(42)

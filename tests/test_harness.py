@@ -98,6 +98,13 @@ def test_jsonl_roundtrip_byte_identical(small_world):
     assert gen.episode_to_jsonl(gen.episode_from_jsonl(text)) == text
 
 
+def test_jsonl_without_scene_record_rejected(small_world):
+    _, train, _ = small_world
+    lines = gen.episode_to_jsonl(train[0]).split("\n")
+    with pytest.raises(ValueError, match="no scene record"):
+        gen.episode_from_jsonl("\n".join(lines[1:]))
+
+
 def test_split_hygiene(small_world):
     _, train, test = small_world
     assert not ({ep.persona for ep in train} & {ep.persona for ep in test})
@@ -232,6 +239,29 @@ def test_cli_transfer_requires_autoencoder(tmp_path):
                      "--config", cfg]) == 0
     assert cli.main(["train-place", "--variant", "transfer", "--seed", "2",
                      "--out", out, "--config", cfg]) == 2
+
+
+def test_cli_truncated_checkpoint_exits_2(tmp_path, capsys):
+    cfg = tiny_config(tmp_path)
+    out = tmp_path / "out"
+    base = ["--seed", "2", "--out", str(out), "--config", cfg]
+    assert cli.main(["gen-data"] + base) == 0
+    assert cli.main(["train-autoencoder"] + base) == 0
+    path = out / "checkpoints" / "autoencoder.ckpt"
+    path.write_bytes(path.read_bytes()[:20])
+    assert cli.main(["train-place", "--variant", "transfer"] + base) == 2
+    assert "truncated checkpoint" in capsys.readouterr().err
+
+
+def test_cli_jsonl_without_scene_record_exits_2(tmp_path, capsys):
+    cfg = tiny_config(tmp_path)
+    out = tmp_path / "out"
+    base = ["--seed", "3", "--out", str(out), "--config", cfg]
+    assert cli.main(["gen-data"] + base) == 0
+    path = sorted((out / "episodes" / "train").glob("*.jsonl"))[0]
+    path.write_text("".join(path.read_text().splitlines(True)[1:]))
+    assert cli.main(["train-predictor"] + base) == 2
+    assert "no scene record" in capsys.readouterr().err
 
 
 def test_cli_smoke_pipeline(tmp_path):

@@ -124,6 +124,86 @@ def test_prediction_problem_validation():
 
 
 # ---------------------------------------------------------------------------
+# numpy rollout and adjoint against the tape
+
+KERNEL_SHAPES = [
+    pytest.param({}, sc.R_WRIST, id="default"),
+    pytest.param({"hidden": 6, "state_dim": 6}, 1, id="small"),
+]
+
+
+def kernel_case(shape_kw, seed):
+    """Predictor with random biases, 20 observed frames and random 30-step
+    controls.  Non-zero biases make the order of each sum matter."""
+    rng = np.random.default_rng(seed)
+    p = tj.build_predictor(seed, **shape_kw)
+    for name in ("gru/bz", "gru/br", "gru/bh", "out/b"):
+        p.store[name].values[...] = 0.1 * rng.normal(size=p.store[name].values.shape)
+    d = p.state_dim
+    obs = 0.2 * rng.normal(size=d) + np.outer(np.arange(tj.OBSERVED_FRAMES),
+                                              0.02 * rng.normal(size=d))
+    delta = 0.1 * rng.normal(size=(tj.HORIZON, d))
+    return p, obs, delta, rng.normal(size=3)
+
+
+@pytest.mark.parametrize("shape_kw,wrist", KERNEL_SHAPES)
+def test_rollout_equals_tape_unroll_bit_for_bit(shape_kw, wrist):
+    p, obs, delta, _ = kernel_case(shape_kw, 20)
+    for controls in (np.zeros_like(delta), delta):
+        states, _ = tj.rollout(p, tj.warm_start(p, obs), controls)
+        assert np.array_equal(states, tj.unroll(p, obs, controls).values)
+
+
+@pytest.mark.parametrize("shape_kw,wrist", KERNEL_SHAPES)
+def test_adjoint_matches_tape_gradient(shape_kw, wrist):
+    p, obs, delta, target = kernel_case(shape_kw, 21)
+    alpha2 = 10.0
+    value, grad = tj.goal_objective(p, tj.warm_start(p, obs), delta, target,
+                                    alpha1=1.0, alpha2=alpha2,
+                                    wrist_index=wrist)
+    d = Tensor(delta.copy())
+    loss = ad.add(tj.c_lowlevel(d),
+                  ad.mul(tj.c_goalset(p, obs, d, target, wrist_index=wrist),
+                         alpha2))
+    ad.backward(loss)
+    assert value == pytest.approx(loss.item(), rel=1e-12)
+    rel = np.max(np.abs(grad - d.grad)) / np.max(np.abs(d.grad))
+    assert rel <= 1e-10
+
+
+@pytest.mark.parametrize("shape_kw,wrist", KERNEL_SHAPES)
+def test_adjoint_matches_central_differences(shape_kw, wrist):
+    p, obs, delta, target = kernel_case(shape_kw, 22)
+    start = tj.warm_start(p, obs)
+
+    def f(x):
+        return tj.goal_objective(p, start, x, target, wrist_index=wrist)
+
+    _, grad = f(delta)
+    rng = np.random.default_rng(23)
+    step = 1e-6
+    # the last step's controls move the wrist directly; earlier ones only
+    # through the recurrence, so sample both
+    picks = [(tj.HORIZON - 1, 3 * wrist), (tj.HORIZON - 1, 3 * wrist + 2)]
+    picks += [(int(rng.integers(tj.HORIZON - 1)), int(rng.integers(p.state_dim)))
+              for _ in range(6)]
+    for k, j in picks:
+        up, down = delta.copy(), delta.copy()
+        up[k, j] += step
+        down[k, j] -= step
+        numeric = (f(up)[0] - f(down)[0]) / (2 * step)
+        assert grad[k, j] == pytest.approx(numeric, rel=1e-5, abs=1e-7), (k, j)
+
+
+def test_predict_fullbody_rejects_nonfinite_observation():
+    p = tj.build_predictor(0)
+    obs = slow_motion(np.random.default_rng(24), tj.OBSERVED_FRAMES)
+    obs[5, 2] = np.nan
+    with pytest.raises(tj.TrajoptError):
+        tj.predict_fullbody(p, obs, [0.3, 0.2, 0.6])
+
+
+# ---------------------------------------------------------------------------
 # L-BFGS
 
 
