@@ -32,7 +32,7 @@ import numpy as np
 from . import autodiff as ad
 from . import densities as dn
 from . import scene as sc
-from .autodiff import ParamStore, Tensor
+from .autodiff import ParamStore
 
 TRAJ_DIM = 20 * 14 * 3  # 20 frames x (13 joints + held object) x 3
 ENC_MAP = 6 * 6 * 16  # flattened conv map before the latent projection
@@ -167,17 +167,53 @@ def _add_encoder(store, rng, trainable=True):
 FEATURE_SCALE = np.array([1.0, 1.0, 1.0, 1.0 / sc.GRID])
 
 
-def _encode(store, features):
-    x = features if isinstance(features, Tensor) else Tensor(features)
-    x = ad.mul(x, Tensor(FEATURE_SCALE))
+def _conv_map(store, features):
+    """The encoder's two conv stages: pooled map (N, ENC_MAP) as a tape tensor."""
+    x = ad.mul(features, FEATURE_SCALE)
     x = ad.maxpool2(ad.relu(ad.add(ad.conv2d_same(x, store["enc/c1/k"]),
                                    store["enc/c1/b"])))
     x = ad.maxpool2(ad.relu(ad.add(ad.conv2d_same(x, store["enc/c2/k"]),
                                    store["enc/c2/b"])))
-    x = ad.reshape(x, (x.values.shape[0], ENC_MAP))
+    return ad.reshape(x, (x.values.shape[0], ENC_MAP))
+
+
+def _encode(store, features, conv_map=None):
+    """Latent (N, ENC_DIM); ``conv_map`` rows, when given, replace the conv
+    stages computed from ``features``."""
+    x = _conv_map(store, features) if conv_map is None else conv_map
     # learned low-dimensional latent: the raw 6x6 map has enough degrees of
     # freedom for the downstream trunk to memorize individual scenes
     return ad.tanh(ad.dense(x, store["enc/proj/w"], store["enc/proj/b"]))
+
+
+CONV_MAP_CHUNK = 256  # rows per forward pass of encoder_conv_map
+
+
+def encoder_conv_map(store, features):
+    """Forward-only conv-stage map (N, ENC_MAP) of a feature set.
+
+    A row does not depend on the rows computed with it, so while the
+    encoder is frozen one map stands in for the conv stages of every
+    training batch.  The latent projection is not included: its K = 576
+    GEMM rounds differently with the batch size.
+    """
+    features = np.asarray(features).reshape(-1, 24, 24, 4)
+    n = CONV_MAP_CHUNK
+    return np.concatenate([_conv_map(store, features[lo:lo + n]).values
+                           for lo in range(0, len(features), n)])
+
+
+def check_encoder(store):
+    """Raise TrainingError unless ``store`` holds every encoder parameter
+    in the shape the encoder needs."""
+    layout = ParamStore()
+    _add_encoder(layout, np.random.default_rng(0))
+    for n, t in layout.params.items():
+        if n not in store:
+            raise TrainingError(f"encoder parameter {n!r} is missing")
+        if store[n].values.shape != t.values.shape:
+            raise TrainingError(f"encoder parameter {n!r} has shape "
+                                f"{store[n].values.shape}, not {t.values.shape}")
 
 
 def _add_trunk(store, rng, n_in, n_out):
@@ -199,8 +235,9 @@ def assemble_placeability(variant, encoder_store=None, seed=0):
     store = ParamStore()
     n_in = TRAJ_DIM + sc.ONEHOT_DIM
     if variant in ("transfer", "transfer-penalty"):
-        if encoder_store is None or "enc/c1/k" not in encoder_store:
+        if encoder_store is None:
             raise TrainingError(f"variant {variant!r} requires a pre-trained encoder")
+        check_encoder(encoder_store)
         store.merge_from(encoder_store, prefix="enc/", trainable=False)
         n_in += ENC_DIM
     elif variant in ("plain", "penalty"):
@@ -210,11 +247,16 @@ def assemble_placeability(variant, encoder_store=None, seed=0):
     return PlaceabilityModel(variant=variant, store=store)
 
 
-def placeability_forward(model, traj, onehot, features=None):
-    """Raw mixture head outputs (N, 5m) as a tape tensor."""
-    parts = [Tensor(np.atleast_2d(traj)), Tensor(np.atleast_2d(onehot))]
+def placeability_forward(model, traj, onehot, features=None, conv_map=None):
+    """Raw mixture head outputs (N, 5m) as a tape tensor.
+
+    ``conv_map``, the rows' ``encoder_conv_map``, replaces ``features``.
+    """
+    parts = [np.atleast_2d(traj), np.atleast_2d(onehot)]
     if model.uses_cnn:
-        parts.append(_encode(model.store, np.asarray(features).reshape(-1, 24, 24, 4)))
+        if conv_map is None:
+            features = np.asarray(features).reshape(-1, 24, 24, 4)
+        parts.append(_encode(model.store, features, conv_map))
     return _trunk(model.store, ad.concat(parts, axis=-1))
 
 
@@ -223,8 +265,12 @@ def placeability_predict(model, traj, onehot, features=None):
     return [dn.mdn_head(r) for r in raw]
 
 
-def placeability_loss(model, data, idx=None, penalty_weight=DEFAULT_PENALTY_WEIGHT):
+def placeability_loss(model, data, idx=None, penalty_weight=DEFAULT_PENALTY_WEIGHT,
+                      conv_map=None):
     """Scalar training loss over (a subset of) a PlaceabilitySet.
+
+    ``conv_map``, when given, is ``encoder_conv_map`` of all of ``data``'s
+    rows and stands in for their features in the encoder.
 
     Plain/transfer variants: mixture NLL.  Penalty variants add
     lambda_p * mean_i min(max(0, r_c - sdf(mu_i)), r_c + 2)^2 with the
@@ -236,21 +282,23 @@ def placeability_loss(model, data, idx=None, penalty_weight=DEFAULT_PENALTY_WEIG
     selection; the unweighted mean only ever relocates means.
     """
     d = data if idx is None else data.subset(idx)
-    raw = placeability_forward(model, d.traj, d.onehot, d.features)
+    if conv_map is not None and idx is not None:
+        conv_map = conv_map[idx]
+    raw = placeability_forward(model, d.traj, d.onehot, d.features, conv_map)
     loss = dn.mdn_nll_graph(raw, d.label)
     if model.variant in ("penalty", "transfer-penalty"):
         _, mu = dn.mdn_alpha_mu_graph(raw)
         inv_cell = 1.0 / d.cell_size
-        uv = ad.sub(ad.mul(ad.add(mu, Tensor(d.half_extent[:, None, :])),
-                           Tensor(inv_cell[:, None, :])), 0.5)
+        uv = ad.sub(ad.mul(ad.add(mu, d.half_extent[:, None, :]),
+                           inv_cell[:, None, :]), 0.5)
         sdf_vals = ad.bilinear2d(d.sdf, uv)
         r_cells = d.radius / d.cell_size.min(axis=1)
-        hinge = ad.relu(ad.sub(Tensor(r_cells[:, None]), sdf_vals))
+        hinge = ad.relu(ad.sub(r_cells[:, None], sdf_vals))
         # cap the hinge depth: a mean deep inside clutter gets a bounded
         # push, so it climbs out locally instead of being flung across the
         # plane into an unrelated free region
         cap = r_cells[:, None] + 2.0
-        hinge = ad.sub(Tensor(cap), ad.relu(ad.sub(Tensor(cap), hinge)))
+        hinge = ad.sub(cap, ad.relu(ad.sub(cap, hinge)))
         pen = ad.mean(ad.mean(ad.mul(hinge, hinge), axis=-1))
         loss = ad.add(loss, ad.mul(pen, penalty_weight))
     return loss
@@ -272,9 +320,18 @@ def train_placeability(model, train, test, epochs, lr=1e-3, seed=0, batch=32,
     hold for ``transfer-penalty``, whose encoder is pre-trained: there the
     early hinge trades test accuracy for clearance (default benchmark:
     test MSE 0.311 -> 0.347, valid-region rate higher at every offset).
+
+    When no ``enc/`` parameter requires a gradient (the transfer
+    variants), the encoder's conv stages run once over the training rows
+    and each batch reads its rows of that map.
     """
     if len(train) == 0:
         raise TrainingError("empty training set")
+    conv_map = None
+    frozen = not any(t.requires_grad for n, t in model.store.params.items()
+                     if n.startswith("enc/"))
+    if model.uses_cnn and frozen:
+        conv_map = encoder_conv_map(model.store, train.features)
     rng = np.random.default_rng(seed)
     curve = []
     for epoch in range(epochs):
@@ -282,7 +339,7 @@ def train_placeability(model, train, test, epochs, lr=1e-3, seed=0, batch=32,
         total, count = 0.0, 0
         for lo in range(0, len(order), batch):
             idx = order[lo:lo + batch]
-            loss = placeability_loss(model, train, idx, penalty_weight)
+            loss = placeability_loss(model, train, idx, penalty_weight, conv_map)
             _check_finite(loss.item(), epoch)
             model.store.zero_grad()
             ad.backward(loss)
@@ -334,8 +391,7 @@ def build_autoencoder(seed=0):
 def autoencoder_forward(store, features, onehot):
     """Predicted post-placement occupancy (N, 24, 24), values in (0, 1)."""
     latent = _encode(store, features)
-    mixed = ad.relu(ad.dense(ad.concat([latent, Tensor(np.atleast_2d(onehot))],
-                                       axis=-1),
+    mixed = ad.relu(ad.dense(ad.concat([latent, np.atleast_2d(onehot)], axis=-1),
                              store["dec/latent/w"], store["dec/latent/b"]))
     x = ad.reshape(mixed, (-1, 6, 6, 16))
     x = ad.upsample2_nearest(x)
@@ -344,6 +400,13 @@ def autoencoder_forward(store, features, onehot):
     x = ad.relu(ad.add(ad.conv2d_same(x, store["dec/c2/k"]), store["dec/c2/b"]))
     x = ad.sigmoid(ad.add(ad.conv2d_same(x, store["dec/c3/k"]), store["dec/c3/b"]))
     return ad.reshape(x, (-1, 24, 24))
+
+
+def autoencoder_loss(store, data, idx):
+    """Reconstruction MSE of an AutoencoderSet's rows ``idx``, as a tape scalar."""
+    pred = autoencoder_forward(store, data.features[idx], data.onehot[idx])
+    diff = ad.sub(pred, data.target[idx])
+    return ad.mean(ad.mul(diff, diff))
 
 
 def encode_features(store, features):
@@ -367,10 +430,7 @@ def train_occupancy_autoencoder(dataset, epochs, seed=0, lr=1e-3, batch=32):
         total, count = 0.0, 0
         for lo in range(0, len(order), batch):
             idx = order[lo:lo + batch]
-            pred = autoencoder_forward(store, dataset.features[idx],
-                                       dataset.onehot[idx])
-            diff = ad.sub(pred, Tensor(dataset.target[idx]))
-            loss = ad.mean(ad.mul(diff, diff))
+            loss = autoencoder_loss(store, dataset, idx)
             _check_finite(loss.item(), epoch)
             store.zero_grad()
             ad.backward(loss)
@@ -396,8 +456,8 @@ def assemble_graspability(posterior, seed=0):
 
 
 def graspability_forward(model, traj, onehot, obj_rel):
-    x = ad.concat([Tensor(np.atleast_2d(traj)), Tensor(np.atleast_2d(onehot)),
-                   Tensor(np.atleast_2d(obj_rel))], axis=-1)
+    x = ad.concat([np.atleast_2d(traj), np.atleast_2d(onehot),
+                   np.atleast_2d(obj_rel)], axis=-1)
     return _trunk(model.store, x)
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -18,8 +20,11 @@ class OptimizerError(Exception):
 class ParamStore:
     """Collection of named parameter tensors with per-tensor trainable flags.
 
-    Frozen (non-trainable) tensors still receive gradients during
-    backward passes but are never touched by :meth:`adam_step`.
+    A tensor's ``requires_grad`` equals its ``trainable`` flag: ``add``,
+    ``load``, ``merge_from`` and ``freeze`` set both.  Backward passes
+    therefore give only trainable tensors a ``grad``; frozen tensors keep
+    ``grad`` at None, cost the backward pass nothing, and are never
+    touched by :meth:`adam_step`.
     """
 
     def __init__(self):
@@ -32,7 +37,7 @@ class ParamStore:
     def add(self, name, values, trainable=True):
         if name in self.params:
             raise KeyError(f"parameter {name!r} already exists")
-        t = Tensor(np.array(values, dtype=np.float64))
+        t = Tensor(np.array(values, dtype=np.float64), requires_grad=trainable)
         self.params[name] = t
         self.trainable[name] = bool(trainable)
         return t
@@ -48,6 +53,8 @@ class ParamStore:
 
     def freeze(self, name):
         self.trainable[name] = False
+        self.params[name].requires_grad = False
+        self.params[name].grad = None
 
     def zero_grad(self):
         for t in self.params.values():
@@ -119,12 +126,20 @@ class ParamStore:
 
     @classmethod
     def load(cls, path):
+        """Read a checkpoint; any malformed body raises OptimizerError."""
         store = cls()
         with open(path, "rb") as f:
             if f.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
                 raise OptimizerError(f"{path}: not an intentmotion checkpoint")
+            left = os.fstat(f.fileno()).st_size - len(CHECKPOINT_MAGIC)
 
             def read(n):
+                # checked against the bytes left before reading, so a
+                # corrupt length never allocates more than the file holds
+                nonlocal left
+                if n > left:
+                    raise OptimizerError(f"{path}: truncated checkpoint")
+                left -= n
                 data = f.read(n)
                 if len(data) != n:
                     raise OptimizerError(f"{path}: truncated checkpoint")
@@ -133,12 +148,20 @@ class ParamStore:
             (count,) = struct.unpack("<I", read(4))
             for _ in range(count):
                 (nlen,) = struct.unpack("<H", read(2))
-                name = read(nlen).decode()
+                try:
+                    name = read(nlen).decode()
+                except UnicodeDecodeError:
+                    raise OptimizerError(
+                        f"{path}: tensor name is not UTF-8") from None
+                if name in store.params:
+                    raise OptimizerError(f"{path}: duplicate tensor {name!r}")
                 trainable, ndim = struct.unpack("<BB", read(2))
                 shape = struct.unpack(f"<{ndim}I", read(4 * ndim))
-                payload = read(8 * int(np.prod(shape)) if ndim else 8)
+                payload = read(8 * math.prod(shape))
                 values = np.frombuffer(payload, dtype="<f8").reshape(shape)
                 store.add(name, values, bool(trainable))
+            if left:
+                raise OptimizerError(f"{path}: {left} trailing bytes")
         return store
 
     def merge_from(self, other, prefix="", trainable=None):

@@ -1,13 +1,19 @@
 """Reverse-mode automatic differentiation on dense float64 arrays.
 
 A ``Tensor`` wraps a numpy array and remembers the operation that
-produced it.  Calling :func:`backward` on a scalar tensor walks the
+produced it.  Each tensor carries one bit, ``requires_grad``.  A leaf
+requires a gradient unless it is created with ``requires_grad=False``
+(data, constants and frozen parameters are); an operation's output
+requires one when any of its inputs does, and keeps only those inputs
+as ``parents``.  Calling :func:`backward` on a scalar tensor walks the
 graph in reverse topological order and accumulates ``grad`` on every
-reachable tensor, leaves included.  Gradients accumulate across
-repeated backward calls until :meth:`Tensor.zero_grad` is called.
+reachable tensor that requires a gradient, leaves included; every other
+tensor keeps ``grad`` at None and costs the backward pass nothing.
+Gradients accumulate across repeated backward calls until
+:meth:`Tensor.zero_grad` is called.
 
-All values are float64.  Graphs are built eagerly; a tensor created
-from another tensor is always differentiable through it.
+All values are float64.  Graphs are built eagerly.  Plain numbers and
+arrays passed to an operation become constants that need no gradient.
 """
 
 from __future__ import annotations
@@ -21,12 +27,20 @@ class AutodiffError(Exception):
 
 
 class Tensor:
-    __slots__ = ("values", "grad", "parents", "op", "_backward")
+    __slots__ = ("values", "grad", "parents", "op", "_backward", "requires_grad")
 
-    def __init__(self, values, parents=(), op="leaf", backward=None):
+    def __init__(self, values, parents=(), op="leaf", backward=None,
+                 requires_grad=True):
+        """``requires_grad`` sets a leaf's flag; an op output's flag is the
+        OR of its parents' flags, and only those parents are kept."""
         self.values = np.asarray(values, dtype=np.float64)
         self.grad = None
-        self.parents = tuple(parents)
+        if parents:
+            self.parents = tuple(p for p in parents if p.requires_grad)
+            self.requires_grad = bool(self.parents)
+        else:
+            self.parents = ()
+            self.requires_grad = bool(requires_grad)
         self.op = op
         self._backward = backward
 
@@ -38,9 +52,14 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, g):
+        if not self.requires_grad:
+            return
         if self.grad is None:
-            self.grad = np.zeros_like(self.values)
-        self.grad += g
+            # a fresh array, never an alias of g; g + 0.0 has the bits of
+            # zeros + g, -0.0 becoming +0.0 included
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.values))
+        else:
+            self.grad += g
 
     def item(self):
         return float(self.values)
@@ -81,7 +100,7 @@ class Tensor:
 
 
 def _as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+    return x if isinstance(x, Tensor) else Tensor(x, requires_grad=False)
 
 
 def _unbroadcast(g, shape):
@@ -112,8 +131,10 @@ def add(a, b):
     out = Tensor(a.values + b.values, (a, b), "add")
 
     def bwd(g):
-        a._accumulate(_unbroadcast(g, a.values.shape))
-        b._accumulate(_unbroadcast(g, b.values.shape))
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g, a.values.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g, b.values.shape))
 
     out._backward = bwd
     return out
@@ -125,8 +146,10 @@ def sub(a, b):
     out = Tensor(a.values - b.values, (a, b), "sub")
 
     def bwd(g):
-        a._accumulate(_unbroadcast(g, a.values.shape))
-        b._accumulate(_unbroadcast(-g, b.values.shape))
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g, a.values.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(-g, b.values.shape))
 
     out._backward = bwd
     return out
@@ -138,8 +161,10 @@ def mul(a, b):
     out = Tensor(a.values * b.values, (a, b), "mul")
 
     def bwd(g):
-        a._accumulate(_unbroadcast(g * b.values, a.values.shape))
-        b._accumulate(_unbroadcast(g * a.values, b.values.shape))
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g * b.values, a.values.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g * a.values, b.values.shape))
 
     out._backward = bwd
     return out
@@ -151,8 +176,10 @@ def div(a, b):
     out = Tensor(a.values / b.values, (a, b), "div")
 
     def bwd(g):
-        a._accumulate(_unbroadcast(g / b.values, a.values.shape))
-        b._accumulate(_unbroadcast(-g * a.values / b.values**2, b.values.shape))
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g / b.values, a.values.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(-g * a.values / b.values**2, b.values.shape))
 
     out._backward = bwd
     return out
@@ -296,11 +323,11 @@ def logsumexp(a, axis=-1, keepdims=False, extra_const=0.0):
     """
     a = _as_tensor(a)
     m = a.values.max(axis=axis, keepdims=True)
-    shifted = exp(sub(a, Tensor(m)))
+    shifted = exp(sub(a, m))
     s = sum_(shifted, axis=axis, keepdims=True)
     if extra_const:
-        s = add(s, Tensor(extra_const * np.exp(-m)))
-    res = add(log(s), Tensor(m))
+        s = add(s, extra_const * np.exp(-m))
+    res = add(log(s), m)
     if not keepdims:
         res = reshape(res, np.squeeze(res.values, axis=axis).shape)
     return res
@@ -389,8 +416,10 @@ def matmul(a, b):
     out = Tensor(a.values @ b.values, (a, b), "matmul")
 
     def bwd(g):
-        a._accumulate(g @ b.values.T)
-        b._accumulate(a.values.T @ g)
+        if a.requires_grad:
+            a._accumulate(g @ b.values.T)
+        if b.requires_grad:
+            b._accumulate(a.values.T @ g)
 
     out._backward = bwd
     return out
@@ -431,13 +460,15 @@ def conv2d_same(x, k):
 
     def bwd(g):
         gf = g.reshape(n * h * w, cout)
-        k._accumulate((cols.T @ gf).reshape(k.values.shape))
-        dcols = (gf @ kmat.T).reshape(n, h, w, kh, kw, cin)
-        dxp = np.zeros_like(xp)
-        for i in range(kh):
-            for j in range(kw):
-                dxp[:, i:i + h, j:j + w, :] += dcols[:, :, :, i, j, :]
-        x._accumulate(dxp[:, ph:ph + h, pw:pw + w, :])
+        if k.requires_grad:
+            k._accumulate((cols.T @ gf).reshape(k.values.shape))
+        if x.requires_grad:
+            dcols = (gf @ kmat.T).reshape(n, h, w, kh, kw, cin)
+            dxp = np.zeros_like(xp)
+            for i in range(kh):
+                for j in range(kw):
+                    dxp[:, i:i + h, j:j + w, :] += dcols[:, :, :, i, j, :]
+            x._accumulate(dxp[:, ph:ph + h, pw:pw + w, :])
 
     out._backward = bwd
     return out
@@ -530,10 +561,14 @@ def bilinear2d(grids, uv):
 
 
 def backward(root):
-    """Accumulate d(root)/d(node) on every node reachable from ``root``.
+    """Accumulate d(root)/d(node) on every node reachable from ``root``
+    that requires a gradient.
 
-    ``root`` must be scalar.  Repeated calls without ``zero_grad``
-    accumulate, so two passes double every gradient.
+    ``root`` must be scalar.  The walk follows ``parents``, which hold
+    only tensors that require a gradient, so constants and frozen
+    parameters are never visited.  A root that requires no gradient is
+    a no-op.  Repeated calls without ``zero_grad`` accumulate, so two
+    passes double every gradient.
     """
     if np.size(root.values) != 1:
         raise AutodiffError(f"backward: root must be scalar, got shape {root.values.shape}")

@@ -149,7 +149,7 @@ def mdn_nll_graph(raw, x):
     log_alpha = ad.sub(logits, ad.logsumexp(logits, axis=-1, keepdims=True))
     mu = comp[:, :, 1:3]
     log_sigma = comp[:, :, 3:5]
-    z = ad.mul(ad.sub(ad.Tensor(np.asarray(x)[:, None, :]), mu),
+    z = ad.mul(ad.sub(np.asarray(x)[:, None, :], mu),
                ad.exp(ad.mul(log_sigma, -1.0)))
     zsq = ad.sum_(ad.mul(z, z), axis=-1)  # (N, m)
     log_comp = ad.sub(ad.mul(zsq, -0.5),
@@ -191,7 +191,7 @@ def gaussian_nll_graph(raw, labels):
     """Raw heads (N, 6) = (mean, log variance); labels (N, 3)."""
     mu = raw[:, :3]
     logvar = raw[:, 3:]
-    diff = ad.sub(ad.Tensor(np.asarray(labels)), mu)
+    diff = ad.sub(np.asarray(labels), mu)
     quad = ad.sum_(ad.mul(ad.mul(diff, diff), ad.exp(ad.mul(logvar, -1.0))),
                    axis=-1)
     per = ad.add(ad.mul(ad.add(ad.sum_(logvar, axis=-1), quad), 0.5),
@@ -285,11 +285,11 @@ def vmf_loss_graph(raw, true_dir, true_dist, lambda_d=1.0):
     norm = ad.sqrt(ad.sum_(ad.mul(d, d), axis=-1, keepdims=True))
     mu = ad.div(d, norm)
     kappa = ad.softplus(raw[:, 3])
-    dot = ad.sum_(ad.mul(mu, ad.Tensor(np.asarray(true_dir))), axis=-1)
+    dot = ad.sum_(ad.mul(mu, np.asarray(true_dir)), axis=-1)
     log_c = ad.sub(ad.log(kappa), ad.add(ad.log_sinh(kappa), LOG_4PI))
     nll = ad.mul(ad.add(log_c, ad.mul(kappa, dot)), -1.0)
     dist = ad.softplus(raw[:, 4])
-    derr = ad.sub(dist, ad.Tensor(np.asarray(true_dist)))
+    derr = ad.sub(dist, np.asarray(true_dist))
     return ad.mean(ad.add(nll, ad.mul(ad.mul(derr, derr), lambda_d)))
 
 

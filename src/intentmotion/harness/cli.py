@@ -41,14 +41,28 @@ class _Parser(argparse.ArgumentParser):
 
 
 def load_config(args):
+    """BenchmarkConfig from ``--config`` and ``--seed``; a config file that
+    is not a JSON object of known keys with values of the defaults' types
+    raises UsageError."""
     values = {}
     if args.config:
         with open(args.config) as f:
-            values = json.load(f)
-        known = {f.name for f in fields(bm.BenchmarkConfig)}
-        unknown = set(values) - known
+            try:
+                values = json.load(f)
+            except ValueError as exc:
+                raise UsageError(f"config {args.config} is not JSON: {exc}") from None
+        if not isinstance(values, dict):
+            raise UsageError(f"config {args.config} must hold a JSON object, "
+                             f"not {type(values).__name__}")
+        types = {f.name: type(f.default) for f in fields(bm.BenchmarkConfig)}
+        unknown = set(values) - set(types)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in values.items():
+            want = (int, float) if types[key] is float else types[key]
+            if not isinstance(value, want) or isinstance(value, bool):
+                raise UsageError(f"config key {key!r} must be "
+                                 f"{types[key].__name__}, got {value!r}")
     if args.seed is not None:
         values["seed"] = args.seed
     return bm.BenchmarkConfig(**values)
@@ -152,6 +166,10 @@ def cmd_train_place(args):
             raise FileNotFoundError(
                 f"variant {args.variant} needs {path}; run train-autoencoder")
         encoder = ParamStore.load(path)
+        try:
+            af.check_encoder(encoder)
+        except af.TrainingError as exc:
+            raise OptimizerError(f"{path}: {exc}") from None
     place_train, _ = ds.extract_training_pairs(train, "placeability")
     place_test, _ = ds.extract_training_pairs(test, "placeability")
     model, curve, metrics = bm.train_place_variant(
@@ -361,7 +379,7 @@ def main(argv=None):
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (FileNotFoundError, RuntimeError, OptimizerError, ValueError) as exc:
+    except (OSError, RuntimeError, OptimizerError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

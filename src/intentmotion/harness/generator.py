@@ -421,24 +421,71 @@ def episode_to_jsonl(episode):
 
 
 def episode_from_jsonl(text):
+    """Parse an episode written by ``episode_to_jsonl``.
+
+    Malformed input raises ValueError naming the problem: a line that is
+    not a JSON object, a record without one of its fields, a missing
+    scene or events record, frame arrays that are ragged, of the wrong
+    shape or not finite, a scene object whose position is not 3-d or
+    whose footprint is not 2-d, an event whose time or 3-d point is not
+    finite, and an unknown target type or source surface.
+    """
     joints, track, times = [], [], []
     head = events = None
-    for line in text.strip().split("\n"):
-        rec = json.loads(line)
-        if rec["type"] == "scene":
-            head = rec
-        elif rec["type"] == "frame":
-            times.append(rec["t"])
-            joints.append(rec["joints"])
-            track.append(rec["object"])
-        elif rec["type"] == "events":
-            events = [Event(e["kind"], e["object_id"], e["surface"], e["time"],
-                            tuple(e["point"])) for e in rec["events"]]
+    try:
+        for lineno, line in enumerate(text.strip().split("\n"), 1):
+            rec = json.loads(line)
+            kind = rec["type"]
+            if kind == "scene":
+                head = rec
+            elif kind == "frame":
+                times.append(rec["t"])
+                joints.append(rec["joints"])
+                track.append(rec["object"])
+            elif kind == "events":
+                events = [Event(e["kind"], e["object_id"], e["surface"],
+                                float(e["time"]), tuple(map(float, e["point"])))
+                          for e in rec["events"]]
+    except KeyError as exc:
+        raise ValueError(f"episode JSONL line {lineno}: record has no "
+                         f"{exc.args[0]!r} field") from None
+    except TypeError as exc:
+        raise ValueError(f"episode JSONL line {lineno}: malformed record "
+                         f"({exc})") from None
     if head is None:
         raise ValueError("episode JSONL has no scene record")
-    _, objects = sc.scene_from_json(json.dumps(head["scene"]))
-    return Episode(
-        persona=head["persona"], index=head["index"],
-        timestamps=np.array(times), joints=np.array(joints),
-        object_track=np.array(track), target_type=head["target_type"],
-        source_surface=head["source_surface"], objects=objects, events=events)
+    if events is None:
+        raise ValueError("episode JSONL has no events record")
+    try:
+        _, objects = sc.scene_from_json(json.dumps(head["scene"]))
+        fields_ = {k: head[k] for k in
+                   ("persona", "index", "target_type", "source_surface")}
+        timestamps = np.array(times, dtype=float)
+        joints = np.array(joints, dtype=float)
+        track = np.array(track, dtype=float)
+    except KeyError as exc:
+        raise ValueError(f"episode JSONL scene record has no "
+                         f"{exc.args[0]!r} field") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"episode JSONL: malformed record ({exc})") from None
+    n = len(timestamps)
+    if n == 0 or joints.shape != (n, sc.NUM_JOINTS, 3) or track.shape != (n, 3):
+        raise ValueError(f"episode JSONL frames must hold {sc.NUM_JOINTS}x3 joints "
+                         f"and a 3-d object position; got {n} times, joints "
+                         f"{joints.shape}, object {track.shape}")
+    if not (np.isfinite(timestamps).all() and np.isfinite(joints).all()
+            and np.isfinite(track).all()):
+        raise ValueError("episode JSONL frames hold non-finite values")
+    for e in events:
+        if len(e.point) != 3 or not np.isfinite((e.time,) + e.point).all():
+            raise ValueError(f"episode JSONL {e.kind!r} event needs a finite "
+                             f"time and a finite 3-d point")
+    if not (isinstance(fields_["persona"], int) and isinstance(fields_["index"], int)):
+        raise ValueError("episode JSONL persona and index must be integers")
+    if fields_["target_type"] not in sc.MOVABLE_TYPES \
+            or fields_["source_surface"] not in sc.SUPPORT_TYPES:
+        raise ValueError(f"episode JSONL has unknown target type "
+                         f"{fields_['target_type']!r} or source surface "
+                         f"{fields_['source_surface']!r}")
+    return Episode(timestamps=timestamps, joints=joints, object_track=track,
+                   objects=objects, events=events, **fields_)

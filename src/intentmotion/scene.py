@@ -50,10 +50,13 @@ class SceneObject:
     def __post_init__(self):
         if self.object_type not in MOVABLE_TYPES + SUPPORT_TYPES:
             raise SceneError(f"unknown object_type {self.object_type!r}")
+        if len(self.position) != 3 or len(self.half_extents) != 2:
+            raise SceneError(f"object {self.id!r}: position must be 3-d and "
+                             f"half extents 2-d")
         if not np.all(np.isfinite(self.position)) or not np.isfinite(self.yaw):
             raise SceneError(f"object {self.id!r}: non-finite pose")
-        if min(self.half_extents) <= 0:
-            raise SceneError(f"object {self.id!r}: half extents must be > 0")
+        if not np.all(np.isfinite(self.half_extents)) or min(self.half_extents) <= 0:
+            raise SceneError(f"object {self.id!r}: half extents must be finite and > 0")
 
     @property
     def radius(self):

@@ -111,15 +111,15 @@ def _warmup(predictor, observed, batch=1):
     if obs.ndim == 2:
         obs = obs[None]  # (B, t, D)
     b, t, d_ = obs.shape
-    h = Tensor(np.zeros((b, predictor.hidden)))
+    h = Tensor(np.zeros((b, predictor.hidden)), requires_grad=False)
     prev = obs[:, 0]
     vel = np.zeros_like(prev)
     for i in range(t):
         vel = obs[:, i] - prev if i > 0 else np.zeros_like(prev)
-        x = Tensor(np.concatenate([obs[:, i], vel], axis=-1))
+        x = np.concatenate([obs[:, i], vel], axis=-1)
         h = _gru_step(store, x, h)
         prev = obs[:, i]
-    return h, Tensor(obs[:, -1]), Tensor(vel)
+    return h, Tensor(obs[:, -1], requires_grad=False), Tensor(vel, requires_grad=False)
 
 
 def unroll(predictor, observed, delta):
@@ -453,14 +453,13 @@ def train_predictor(windows, epochs, lr=1e-3, seed=0, batch=32,
                 h = _gru_step(store, x, h)
                 residual = ad.add(ad.matmul(h, store["out/w"]), store["out/b"])
                 s_next = ad.add(s, residual)
-                diff = ad.sub(s_next, Tensor(future[:, k]))
+                diff = ad.sub(s_next, future[:, k])
                 losses.append(ad.sum_(ad.mul(diff, diff)))
                 # scheduled sampling: self-fed rows keep gradient flow,
                 # teacher-forced rows take the ground-truth frame
                 use_self = rng.random(b) < p_self
-                mask = Tensor(use_self[:, None].astype(float))
-                s_mixed = ad.add(ad.mul(s_next, mask),
-                                 Tensor(future[:, k] * (~use_self)[:, None]))
+                s_mixed = ad.add(ad.mul(s_next, use_self[:, None].astype(float)),
+                                 future[:, k] * (~use_self)[:, None])
                 v = ad.sub(s_mixed, s)
                 s = s_mixed
             loss = ad.mul(_sum_list(losses), 1.0 / (b * horizon * d_))

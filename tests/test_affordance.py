@@ -1,11 +1,15 @@
 """Tests for the placeability and graspability affordance models."""
 
+import copy
+
 import numpy as np
 import pytest
 
 import intentmotion.affordance as af
+import intentmotion.autodiff as ad
 import intentmotion.densities as dn
 import intentmotion.scene as sc
+from intentmotion.autodiff import ParamStore, Tensor
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +92,16 @@ def test_transfer_requires_encoder():
         af.assemble_placeability("transfer")
     with pytest.raises(af.TrainingError):
         af.assemble_placeability("transfer-penalty", encoder_store=None)
+    # an encoder missing a parameter, or with one of another shape
+    full = af.build_autoencoder(seed=3)
+    for drop, cut in (("enc/c2/b", None), (None, "enc/proj/w")):
+        store = ParamStore()
+        for n in full.names():
+            if n != drop:
+                v = full[n].values
+                store.add(n, v[..., :-1] if n == cut else v)
+        with pytest.raises(af.TrainingError, match=repr(drop or cut)):
+            af.assemble_placeability("transfer", encoder_store=store)
 
 
 def test_no_cnn_has_no_encoder_parameters():
@@ -385,3 +399,131 @@ def test_grasp_baseline_exact_when_wrist_at_mean_distance():
     wrist_now = obj + np.array([0.3, 0.4, 0.0])  # distance 0.5 from object
     point = af.grasp_baseline(stats, "cup", "table", obj, wrist_now)
     assert np.allclose(point, obj + 0.25 * np.array([0.6, 0.8, 0.0]))
+
+
+# ---------------------------------------------------------------------------
+# gradient work skipped by requires_grad: trainable gradients stay bitwise
+
+
+def varied_place_set(n, seed):
+    """A PlaceabilitySet whose feature stacks differ row by row."""
+    data = make_place_set(n, seed=seed)
+    rng = np.random.default_rng(seed)
+    data.features = data.features + 0.05 * rng.normal(size=data.features.shape)
+    return data
+
+
+def all_leaf_gradients(store, loss_fn, monkeypatch):
+    """Loss and parameter gradients of a copy of ``store`` on a reference
+    tape that skips no gradient work: every tensor requires a gradient and
+    keeps all of its parents."""
+    init = Tensor.__init__
+
+    def init_all(self, values, parents=(), op="leaf", backward=None,
+                 requires_grad=True):
+        init(self, values, (), op, backward)
+        self.parents = tuple(parents)
+
+    store = copy.deepcopy(store)
+    store.zero_grad()
+    for t in store.params.values():
+        t.requires_grad = True
+    with monkeypatch.context() as m:
+        m.setattr(Tensor, "__init__", init_all)
+        loss = loss_fn(store)
+        ad.backward(loss)
+    return loss.values.tobytes(), {n: t.grad for n, t in store.params.items()}
+
+
+def assert_same_trainable_grads(store, loss, ref):
+    ref_loss, ref_grads = ref
+    assert loss.values.tobytes() == ref_loss
+    for n, t in store.params.items():
+        if store.trainable[n]:
+            assert t.grad.tobytes() == ref_grads[n].tobytes(), n
+        else:
+            assert t.grad is None, n
+
+
+@pytest.mark.parametrize("variant", af.PLACE_VARIANTS)
+def test_placeability_grads_bitwise_equal_all_leaf_graph(
+        variant, monkeypatch):
+    data = varied_place_set(40, seed=21)
+    enc = af.build_autoencoder(seed=3)
+    model = af.assemble_placeability(variant, encoder_store=enc, seed=4)
+    idx = np.random.default_rng(5).permutation(40)[:32]
+    # the training loop's inputs: the frozen encoder's map, when it has one
+    frozen = variant.startswith("transfer")
+    conv_map = af.encoder_conv_map(model.store, data.features) if frozen else None
+    loss = af.placeability_loss(model, data, idx, 3.25, conv_map)
+    ad.backward(loss)
+    ref = all_leaf_gradients(
+        model.store,
+        lambda s: af.placeability_loss(af.PlaceabilityModel(variant, s), data,
+                                       idx, 3.25),
+        monkeypatch)
+    assert_same_trainable_grads(model.store, loss, ref)
+
+
+def test_autoencoder_grads_bitwise_equal_all_leaf_graph(monkeypatch):
+    base = varied_place_set(40, seed=22)
+    rng = np.random.default_rng(23)
+    data = af.AutoencoderSet(features=base.features, onehot=base.onehot,
+                             target=(rng.random((40, 24, 24)) < 0.1).astype(float))
+    store = af.build_autoencoder(seed=6)
+    idx = rng.permutation(40)[:32]
+    loss = af.autoencoder_loss(store, data, idx)
+    ad.backward(loss)
+    ref = all_leaf_gradients(store, lambda s: af.autoencoder_loss(s, data, idx),
+                             monkeypatch)
+    assert_same_trainable_grads(store, loss, ref)
+
+
+def test_conv_map_rows_do_not_depend_on_batch():
+    data = varied_place_set(100, seed=24)
+    store = af.build_autoencoder(seed=7)
+    full = af.encoder_conv_map(store, data.features)
+    assert full.shape == (100, af.ENC_MAP)
+    features = data.features.reshape(-1, 24, 24, 4)
+    batched = np.concatenate([af._conv_map(store, features[lo:lo + 32]).values
+                              for lo in range(0, 100, 32)])
+    assert batched.tobytes() == full.tobytes()
+
+
+@pytest.mark.parametrize("variant", ["transfer", "transfer-penalty"])
+def test_conv_map_gives_identical_loss_and_grads(variant):
+    data = varied_place_set(40, seed=25)
+    model = af.assemble_placeability(variant, encoder_store=af.build_autoencoder(8),
+                                     seed=9)
+    idx = np.arange(3, 35)
+    conv_map = af.encoder_conv_map(model.store, data.features)
+    results = []
+    for cm in (None, conv_map):
+        model.store.zero_grad()
+        loss = af.placeability_loss(model, data, idx, 3.25, cm)
+        ad.backward(loss)
+        results.append([loss.values.tobytes()] + [
+            None if t.grad is None else t.grad.tobytes()
+            for t in model.store.params.values()])
+    assert results[0] == results[1]
+
+
+def test_data_leaves_and_frozen_params_end_without_grad(monkeypatch):
+    data = varied_place_set(12, seed=26)
+    model = af.assemble_placeability("transfer-penalty",
+                                     encoder_store=af.build_autoencoder(10), seed=11)
+    made = []
+    init = Tensor.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(Tensor, "__init__", recording_init)
+    af.train_placeability(model, data, data, epochs=1, seed=0)
+    monkeypatch.undo()
+    params = {id(t) for t in model.store.params.values()}
+    leaves = [t for t in made if t.op == "leaf" and id(t) not in params]
+    assert leaves and all(t.grad is None and not t.requires_grad for t in leaves)
+    for n, t in model.store.params.items():
+        assert (t.grad is None) == n.startswith("enc/")

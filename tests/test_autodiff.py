@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -231,3 +233,122 @@ class TestParamStore:
         v2, g2 = run()
         np.testing.assert_array_equal(v1, v2)
         np.testing.assert_array_equal(g1, g2)
+
+
+class TestRequiresGrad:
+    def test_flag_propagates_and_prunes_parents(self):
+        w = Tensor(np.ones(3))
+        c = Tensor(np.ones(3), requires_grad=False)
+        assert w.requires_grad and not c.requires_grad
+        y = ad.mul(w, c)
+        assert y.requires_grad and y.parents == (w,)
+        z = ad.add(c, 2.0)
+        assert not z.requires_grad and z.parents == ()
+
+    def test_constants_and_data_get_no_grad(self):
+        rng = np.random.default_rng(3)
+        w = Tensor(rng.normal(size=(4, 2)))
+        x = Tensor(rng.normal(size=(5, 4)), requires_grad=False)
+        c = Tensor(rng.normal(size=(5, 2)), requires_grad=False)
+        backward(ad.sum_sq(ad.sub(ad.matmul(x, w), c)))
+        assert x.grad is None and c.grad is None
+        np.testing.assert_array_equal(
+            w.grad, 2.0 * x.values.T @ (x.values @ w.values - c.values))
+
+    def test_root_without_grad_is_noop(self):
+        c = Tensor(np.ones(3), requires_grad=False)
+        backward(ad.sum_(c))
+        assert c.grad is None
+
+    def test_conv_skips_only_the_unneeded_partial(self):
+        rng = np.random.default_rng(4)
+        xv, kv = rng.normal(size=(2, 6, 6, 3)), rng.normal(size=(3, 3, 3, 4))
+        weights = rng.normal(size=(2, 6, 6, 4))
+        grads = {}
+        for x_req in (True, False):
+            for k_req in (True, False):
+                x = Tensor(xv, requires_grad=x_req)
+                k = Tensor(kv, requires_grad=k_req)
+                backward(ad.sum_(ad.mul(ad.conv2d_same(x, k), weights)))
+                assert (x.grad is not None) == x_req
+                assert (k.grad is not None) == k_req
+                grads[x_req, k_req] = (x.grad, k.grad)
+        dx, dk = grads[True, True]
+        assert grads[True, False][0].tobytes() == dx.tobytes()
+        assert grads[False, True][1].tobytes() == dk.tobytes()
+
+    def test_matmul_skips_only_the_unneeded_partial(self):
+        rng = np.random.default_rng(5)
+        av, bv = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
+        a, b = Tensor(av), Tensor(bv)
+        backward(ad.sum_sq(ad.matmul(a, b)))
+        a2, b2 = Tensor(av, requires_grad=False), Tensor(bv)
+        backward(ad.sum_sq(ad.matmul(a2, b2)))
+        assert a2.grad is None
+        assert b2.grad.tobytes() == b.grad.tobytes()
+
+    def test_first_touch_copies_and_clears_negative_zero(self):
+        x = Tensor(np.array([1.0, 2.0]))
+        backward(ad.sum_(ad.mul(x, -0.0)))
+        assert not np.signbit(x.grad).any()
+        g = np.array([-0.0, 3.0])
+        y = Tensor(np.zeros(2))
+        y._accumulate(g)
+        assert y.grad is not g and not np.signbit(y.grad[0])
+        assert y.grad.tobytes() == (np.zeros(2) + g).tobytes()
+
+    def test_store_flags_follow_trainable(self, tmp_path):
+        store = ParamStore()
+        store.add("a", np.ones(2))
+        store.add("b", np.ones(2), trainable=False)
+        store.freeze("a")
+        store.add("c", np.ones(2))
+        for n in store.names():
+            assert store[n].requires_grad == store.trainable[n]
+        path = tmp_path / "s.ckpt"
+        store.save(path)
+        loaded = ParamStore.load(path)
+        merged = ParamStore()
+        merged.merge_from(loaded)
+        forced = ParamStore()
+        forced.merge_from(loaded, trainable=True)
+        for s in (loaded, merged, forced):
+            for n in s.names():
+                assert s[n].requires_grad == s.trainable[n]
+        assert [loaded.trainable[n] for n in "abc"] == [False, False, True]
+        assert all(forced.trainable[n] for n in "abc")
+
+    def test_frozen_param_ends_without_grad(self):
+        store = ParamStore()
+        w = store.add("w", np.ones(3))
+        f = store.add("f", np.ones(3), trainable=False)
+        backward(ad.sum_sq(ad.mul(w, f)))
+        assert f.grad is None and w.grad is not None
+        store.freeze("w")
+        assert w.grad is None
+        backward(ad.sum_sq(ad.mul(w, f)))
+        assert w.grad is None
+
+
+def checkpoint_bytes(*records):
+    """Checkpoint body of (name bytes, dims, payload length) records."""
+    out = ad.CHECKPOINT_MAGIC + struct.pack("<I", len(records))
+    for name, dims, payload in records:
+        out += struct.pack("<H", len(name)) + name
+        out += struct.pack(f"<BB{len(dims)}I", 1, len(dims), *dims)
+        out += b"\0" * payload
+    return out
+
+
+@pytest.mark.parametrize("data, match", [
+    (checkpoint_bytes((b"w", [2], 16), (b"w", [1], 8)), "duplicate tensor 'w'"),
+    (checkpoint_bytes((b"\xff\xfe", [2], 16)), "not UTF-8"),
+    (checkpoint_bytes((b"w", [2], 17)), "1 trailing bytes"),
+    (checkpoint_bytes((b"w", [2**32 - 1] * 8, 16)), "truncated"),
+], ids=["duplicate", "non-utf8", "trailing", "huge-dims"])
+def test_malformed_checkpoint_raises_optimizer_error(tmp_path, data, match):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(data)
+    with pytest.raises(ad.OptimizerError, match=match) as info:
+        ParamStore.load(path)
+    assert "bad.ckpt" in str(info.value)

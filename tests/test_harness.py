@@ -9,6 +9,7 @@ import pytest
 import intentmotion.affordance as af
 import intentmotion.scene as sc
 import intentmotion.trajopt as tj
+from intentmotion.autodiff import ParamStore
 from intentmotion.harness import benchmark as bm
 from intentmotion.harness import cli
 from intentmotion.harness import datasets as ds
@@ -248,9 +249,19 @@ def test_cli_truncated_checkpoint_exits_2(tmp_path, capsys):
     assert cli.main(["gen-data"] + base) == 0
     assert cli.main(["train-autoencoder"] + base) == 0
     path = out / "checkpoints" / "autoencoder.ckpt"
+    full = ParamStore.load(path)
     path.write_bytes(path.read_bytes()[:20])
     assert cli.main(["train-place", "--variant", "transfer"] + base) == 2
     assert "truncated checkpoint" in capsys.readouterr().err
+    # a well-formed checkpoint whose kernel has the wrong shape
+    wrong = ParamStore()
+    for n in full.names():
+        wrong.add(n, full[n].values[..., :7] if n == "enc/c1/k" else full[n].values)
+    wrong.save(path)
+    assert cli.main(["train-place", "--variant", "transfer"] + base) == 2
+    err = capsys.readouterr().err
+    assert "autoencoder.ckpt: encoder parameter 'enc/c1/k' has shape" in err
+    assert "Traceback" not in err
 
 
 def test_cli_jsonl_without_scene_record_exits_2(tmp_path, capsys):
