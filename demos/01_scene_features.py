@@ -4,6 +4,9 @@ Builds a small table scene with a few objects, computes the 24x24
 feature stack, and shows how placement validity follows the SDF.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 import intentmotion.scene as sc
@@ -31,7 +34,8 @@ for point in [(0.0, -0.25), (0.3, 0.12), (0.79, 0.0)]:
     print(f"place a {radius:.2f} m object at {point}: "
           f"{'valid' if ok else 'invalid'}")
 
-paths = sc.export_grid_csv(grid, "/tmp/table_features")
+paths = sc.export_grid_csv(
+    grid, os.path.join(tempfile.gettempdir(), "table_features"))
 print("feature channels written to:")
 for p in paths:
     print(" ", p)

@@ -4,6 +4,9 @@ Shows head decoding from raw network outputs, log likelihoods, sampling,
 and the density heatmap export used for placement visualization.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 import intentmotion.densities as dn
@@ -31,5 +34,6 @@ for kappa in (0.5, 5.0, 50.0):
     at_mean = dn.vmf_logpdf(v, v.mu)
     print(f"vMF kappa={kappa:5.1f}: logpdf at mean {at_mean:+.3f}")
 
-dn.export_heatmap(mix, (2.0, 2.0), "/tmp/mixture_density")
-print("\nheatmap written to /tmp/mixture_density.{csv,pgm}")
+prefix = os.path.join(tempfile.gettempdir(), "mixture_density")
+dn.export_heatmap(mix, (2.0, 2.0), prefix)
+print(f"\nheatmap written to {prefix}.{{csv,pgm}}")

@@ -5,6 +5,9 @@ perturbations so the predicted right wrist ends at a chosen goal, and
 shows the goal-weight tradeoff.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 import intentmotion.trajopt as tj
@@ -42,5 +45,6 @@ for alpha2 in (0.1, 1.0, 10.0, 100.0):
                                   goal_mode="place", alpha2=alpha2)
     print(f"  alpha2={alpha2:6.1f}  goal distance {d['goal_distance']:.4f} m")
 
-tj.export_trajectory_csv(traj, "/tmp/optimized_trajectory.csv")
-print("\ntrajectory written to /tmp/optimized_trajectory.csv")
+path = os.path.join(tempfile.gettempdir(), "optimized_trajectory.csv")
+tj.export_trajectory_csv(traj, path)
+print(f"\ntrajectory written to {path}")

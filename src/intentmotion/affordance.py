@@ -203,17 +203,23 @@ def encoder_conv_map(store, features):
                            for lo in range(0, len(features), n)])
 
 
-def check_encoder(store):
-    """Raise TrainingError unless ``store`` holds every encoder parameter
-    in the shape the encoder needs."""
-    layout = ParamStore()
-    _add_encoder(layout, np.random.default_rng(0))
+def check_layout(store, layout, kind):
+    """Raise TrainingError unless ``store`` holds every parameter of the
+    freshly assembled store ``layout`` in its shape; ``kind`` names the
+    model in the message."""
     for n, t in layout.params.items():
         if n not in store:
-            raise TrainingError(f"encoder parameter {n!r} is missing")
+            raise TrainingError(f"{kind} parameter {n!r} is missing")
         if store[n].values.shape != t.values.shape:
-            raise TrainingError(f"encoder parameter {n!r} has shape "
+            raise TrainingError(f"{kind} parameter {n!r} has shape "
                                 f"{store[n].values.shape}, not {t.values.shape}")
+
+
+def encoder_layout():
+    """A freshly initialised store of the encoder's parameters."""
+    store = ParamStore()
+    _add_encoder(store, np.random.default_rng(0))
+    return store
 
 
 def _add_trunk(store, rng, n_in, n_out):
@@ -237,7 +243,7 @@ def assemble_placeability(variant, encoder_store=None, seed=0):
     if variant in ("transfer", "transfer-penalty"):
         if encoder_store is None:
             raise TrainingError(f"variant {variant!r} requires a pre-trained encoder")
-        check_encoder(encoder_store)
+        check_layout(encoder_store, encoder_layout(), "encoder")
         store.merge_from(encoder_store, prefix="enc/", trainable=False)
         n_in += ENC_DIM
     elif variant in ("plain", "penalty"):
@@ -304,9 +310,30 @@ def placeability_loss(model, data, idx=None, penalty_weight=DEFAULT_PENALTY_WEIG
     return loss
 
 
-def _check_finite(loss, epoch):
-    if not np.isfinite(loss):
-        raise TrainingError(f"training diverged at epoch {epoch}: loss={loss}")
+def _fit(store, n, batch_loss, epochs, lr, seed, batch):
+    """Minibatch Adam over ``n`` rows, reshuffled every epoch.
+
+    ``batch_loss(idx)`` is the tape scalar of rows ``idx``.  Returns the
+    per-epoch mean loss curve; a non-finite loss raises TrainingError.
+    """
+    rng = np.random.default_rng(seed)
+    curve = []
+    for epoch in range(epochs):
+        order = rng.permutation(n)
+        total = 0.0
+        for lo in range(0, n, batch):
+            idx = order[lo:lo + batch]
+            loss = batch_loss(idx)
+            value = loss.item()
+            if not np.isfinite(value):
+                raise TrainingError(f"training diverged at epoch {epoch}: "
+                                    f"loss={value}")
+            store.zero_grad()
+            ad.backward(loss)
+            store.adam_step(lr)
+            total += value * len(idx)
+        curve.append(total / n)
+    return curve
 
 
 def train_placeability(model, train, test, epochs, lr=1e-3, seed=0, batch=32,
@@ -332,21 +359,10 @@ def train_placeability(model, train, test, epochs, lr=1e-3, seed=0, batch=32,
                      if n.startswith("enc/"))
     if model.uses_cnn and frozen:
         conv_map = encoder_conv_map(model.store, train.features)
-    rng = np.random.default_rng(seed)
-    curve = []
-    for epoch in range(epochs):
-        order = rng.permutation(len(train))
-        total, count = 0.0, 0
-        for lo in range(0, len(order), batch):
-            idx = order[lo:lo + batch]
-            loss = placeability_loss(model, train, idx, penalty_weight, conv_map)
-            _check_finite(loss.item(), epoch)
-            model.store.zero_grad()
-            ad.backward(loss)
-            model.store.adam_step(lr)
-            total += loss.item() * len(idx)
-            count += len(idx)
-        curve.append(total / count)
+    curve = _fit(model.store, len(train),
+                 lambda idx: placeability_loss(model, train, idx, penalty_weight,
+                                               conv_map),
+                 epochs, lr, seed, batch)
     metrics = {"train": evaluate_placeability(model, train),
                "test": evaluate_placeability(model, test)}
     return curve, metrics
@@ -423,21 +439,9 @@ def train_occupancy_autoencoder(dataset, epochs, seed=0, lr=1e-3, batch=32):
     if len(dataset) == 0:
         raise TrainingError("empty autoencoder dataset")
     store = build_autoencoder(seed)
-    rng = np.random.default_rng(seed)
-    curve = []
-    for epoch in range(epochs):
-        order = rng.permutation(len(dataset))
-        total, count = 0.0, 0
-        for lo in range(0, len(order), batch):
-            idx = order[lo:lo + batch]
-            loss = autoencoder_loss(store, dataset, idx)
-            _check_finite(loss.item(), epoch)
-            store.zero_grad()
-            ad.backward(loss)
-            store.adam_step(lr)
-            total += loss.item() * len(idx)
-            count += len(idx)
-        curve.append(total / count)
+    curve = _fit(store, len(dataset),
+                 lambda idx: autoencoder_loss(store, dataset, idx),
+                 epochs, lr, seed, batch)
     return store, curve
 
 
@@ -510,27 +514,16 @@ def train_graspability(model, train, test, epochs, lr=1e-3, seed=0, batch=32,
         raise TrainingError("empty training set")
     if augment_reflect:
         train = _concat_grasp_sets(train, _reflect_grasp_set(train))
-    rng = np.random.default_rng(seed)
-    curve = []
-    for epoch in range(epochs):
-        order = rng.permutation(len(train))
-        total, count = 0.0, 0
-        for lo in range(0, len(order), batch):
-            idx = order[lo:lo + batch]
-            raw = graspability_forward(model, train.traj[idx], train.onehot[idx],
-                                       train.obj_rel[idx])
-            if model.posterior == "gaussian":
-                loss = dn.gaussian_nll_graph(raw, train.wrist_rel[idx])
-            else:
-                loss = dn.vmf_loss_graph(raw, train.direction[idx],
-                                         train.distance[idx], lambda_d)
-            _check_finite(loss.item(), epoch)
-            model.store.zero_grad()
-            ad.backward(loss)
-            model.store.adam_step(lr)
-            total += loss.item() * len(idx)
-            count += len(idx)
-        curve.append(total / count)
+
+    def batch_loss(idx):
+        raw = graspability_forward(model, train.traj[idx], train.onehot[idx],
+                                   train.obj_rel[idx])
+        if model.posterior == "gaussian":
+            return dn.gaussian_nll_graph(raw, train.wrist_rel[idx])
+        return dn.vmf_loss_graph(raw, train.direction[idx], train.distance[idx],
+                                 lambda_d)
+
+    curve = _fit(model.store, len(train), batch_loss, epochs, lr, seed, batch)
     metrics = {"train": evaluate_graspability(model, train),
                "test": evaluate_graspability(model, test)}
     return curve, metrics
@@ -547,35 +540,25 @@ def evaluate_graspability(model, data):
 
 def place_baseline(plane, objects, pelvis_xy, object_radius):
     """Closest valid cell center to the human's plane-frame projection."""
-    grid = sc.plane_feature_stack(plane, objects)
-    xs, ys = plane.cell_centers()
-    rel = plane.to_plane_frame(np.asarray(pelvis_xy, dtype=float))
-    best, best_d = None, np.inf
-    for i in range(sc.GRID):
-        for j in range(sc.GRID):
-            p = (xs[i], ys[j])
-            if not sc.is_valid_placement(p, plane, objects, object_radius,
-                                         grid=grid):
-                continue
-            d = float(np.hypot(p[0] - rel[0], p[1] - rel[1]))
-            if d < best_d:
-                best, best_d = np.array(p), d
-    if best is None:
-        raise SurfaceFullError(
-            f"no valid cell on {plane.surface_type} at radius {object_radius}")
-    return best
+    return _place_baseline_on_grid(sc.plane_feature_stack(plane, objects), plane,
+                                   plane.to_plane_frame(pelvis_xy), object_radius)
+
+
+def _row_geometry(data, i):
+    """The support plane and feature grid of a PlaceabilitySet row."""
+    plane = sc.SupportPlane("table", (0.0, 0.0), tuple(2 * data.half_extent[i]), 0.0)
+    f = data.features[i]
+    grid = sc.PlaneFeatureGrid(occupancy=f[..., 0], pos_x=f[..., 1],
+                               pos_y=f[..., 2], sdf=f[..., 3],
+                               cell_size=tuple(data.cell_size[i]))
+    return plane, grid
 
 
 def baseline_place_mse(data):
     """MSE of the SDF-heuristic placement baseline over a PlaceabilitySet."""
     se = []
     for i in range(len(data)):
-        plane = sc.SupportPlane("table", (0.0, 0.0),
-                                tuple(2 * data.half_extent[i]), 0.0)
-        grid = sc.PlaneFeatureGrid(
-            occupancy=data.features[i, ..., 0], pos_x=data.features[i, ..., 1],
-            pos_y=data.features[i, ..., 2], sdf=data.features[i, ..., 3],
-            cell_size=tuple(data.cell_size[i]))
+        plane, grid = _row_geometry(data, i)
         point = _place_baseline_on_grid(grid, plane, data.pelvis_plane[i],
                                         data.radius[i])
         se.append(((point - data.label[i]) ** 2).sum())
@@ -583,23 +566,18 @@ def baseline_place_mse(data):
 
 
 def _place_baseline_on_grid(grid, plane, pelvis_plane_xy, radius):
+    """The valid cell center nearest a plane-frame point, first in
+    row-major order on ties."""
     xs, ys = plane.cell_centers()
-    best, best_d = None, np.inf
-    w, d_ = plane.extent
-    r_cells = sc.clearance_cells(radius, grid.cell_size)
-    for i in range(sc.GRID):
-        for j in range(sc.GRID):
-            p = (xs[i], ys[j])
-            if abs(p[0]) > w / 2 - radius or abs(p[1]) > d_ / 2 - radius:
-                continue
-            if sc.sdf_bilinear(grid, p) < r_cells:
-                continue
-            dd = float(np.hypot(p[0] - pelvis_plane_xy[0], p[1] - pelvis_plane_xy[1]))
-            if dd < best_d:
-                best, best_d = np.array(p), dd
-    if best is None:
-        raise SurfaceFullError("surface full")
-    return best
+    cells = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
+    ok = sc.is_valid_placement(cells, plane, [], radius, grid=grid)
+    dist = np.where(ok, np.hypot(cells[:, 0] - pelvis_plane_xy[0],
+                                 cells[:, 1] - pelvis_plane_xy[1]), np.inf)
+    k = np.argmin(dist)
+    if not dist[k] < np.inf:
+        raise SurfaceFullError(
+            f"no valid cell on {plane.surface_type} at radius {radius}")
+    return cells[k]
 
 
 def valid_region_rate(model, data, clearance=None, batch=256):
@@ -623,14 +601,9 @@ def valid_region_rate(model, data, clearance=None, batch=256):
         for k, dist in enumerate(dists):
             point = dist.mu[dn.mdn_top_component(dist)]
             r = d.radius[k] if clearance is None else clearance
-            plane = sc.SupportPlane("table", (0.0, 0.0),
-                                    tuple(2 * d.half_extent[k]), 0.0)
-            grid = sc.PlaneFeatureGrid(
-                occupancy=d.features[k, ..., 0], pos_x=d.features[k, ..., 1],
-                pos_y=d.features[k, ..., 2], sdf=d.features[k, ..., 3],
-                cell_size=tuple(d.cell_size[k]))
-            ok = sc.is_valid_placement(point, plane, [], r, grid=grid)
-            hits[d.offset[k]].append(ok)
+            plane, grid = _row_geometry(d, k)
+            hits[d.offset[k]].append(sc.is_valid_placement(point, plane, [], r,
+                                                           grid=grid))
     return {float(o): float(np.mean(v)) for o, v in hits.items()}
 
 

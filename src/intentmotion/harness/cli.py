@@ -165,11 +165,7 @@ def cmd_train_place(args):
         if not os.path.exists(path):
             raise FileNotFoundError(
                 f"variant {args.variant} needs {path}; run train-autoencoder")
-        encoder = ParamStore.load(path)
-        try:
-            af.check_encoder(encoder)
-        except af.TrainingError as exc:
-            raise OptimizerError(f"{path}: {exc}") from None
+        encoder = _load_checkpoint(path, af.encoder_layout(), "encoder")
     place_train, _ = ds.extract_training_pairs(train, "placeability")
     place_test, _ = ds.extract_training_pairs(test, "placeability")
     model, curve, metrics = bm.train_place_variant(
@@ -215,11 +211,29 @@ def cmd_train_predictor(args):
     return 0
 
 
+def _load_checkpoint(path, layout, kind):
+    """The checkpoint at ``path``; OptimizerError naming the path unless it
+    holds every parameter of the store ``layout`` in its shape."""
+    store = ParamStore.load(path)
+    try:
+        af.check_layout(store, layout, kind)
+    except af.TrainingError as exc:
+        raise OptimizerError(f"{path}: {exc}") from None
+    return store
+
+
+def _load_predictor(path):
+    return tj.ShortTermPredictor(
+        store=_load_checkpoint(path, tj.build_predictor().store, "predictor"))
+
+
 def _load_place_model(out, variant):
     path = ckpt_path(out, f"place_{variant}")
     if not os.path.exists(path):
         return None
-    return af.PlaceabilityModel(variant=variant, store=ParamStore.load(path))
+    layout = af.assemble_placeability(variant, af.encoder_layout()).store
+    return af.PlaceabilityModel(
+        variant=variant, store=_load_checkpoint(path, layout, "placeability"))
 
 
 def cmd_predict(args):
@@ -228,7 +242,7 @@ def cmd_predict(args):
     pred_path = ckpt_path(args.out, "predictor")
     if not os.path.exists(pred_path):
         raise FileNotFoundError(f"missing checkpoint {pred_path}")
-    predictor = tj.ShortTermPredictor(store=ParamStore.load(pred_path))
+    predictor = _load_predictor(pred_path)
     problems = ds.prediction_problems(test)
     if not problems:
         raise RuntimeError("no evaluable place episodes in the test set")
@@ -268,13 +282,15 @@ def cmd_eval(args):
     for posterior in ("gaussian", "vmf"):
         path = ckpt_path(args.out, f"grasp_{posterior}")
         if os.path.exists(path):
+            layout = af.assemble_graspability(posterior).store
             bundle.grasp_models[posterior] = af.GraspabilityModel(
-                posterior=posterior, store=ParamStore.load(path))
+                posterior=posterior,
+                store=_load_checkpoint(path, layout, "graspability"))
         else:
             missing.append(f"grasp_{posterior}")
     pred_path = ckpt_path(args.out, "predictor")
     if os.path.exists(pred_path):
-        bundle.predictor = tj.ShortTermPredictor(store=ParamStore.load(pred_path))
+        bundle.predictor = _load_predictor(pred_path)
     else:
         missing.append("predictor")
     if missing:

@@ -137,9 +137,10 @@ def _place_distractors(rng, count):
         if otype is None:
             otype = rng.choice(sc.MOVABLE_TYPES)
         ext = OBJECT_EXTENTS[otype]
+        grid = sc.plane_feature_stack(TABLE, objects)  # objects fixed until placed
         for _ in range(40):
             p = rng.uniform(lo, hi)
-            if sc.is_valid_placement(p, TABLE, objects, max(ext) + 0.01):
+            if sc.is_valid_placement(p, TABLE, objects, max(ext) + 0.01, grid):
                 objects.append(sc.SceneObject(
                     f"distractor{k}", otype,
                     (TABLE.frame_origin[0] + p[0], TABLE.frame_origin[1] + p[1],
@@ -188,22 +189,22 @@ def _sample_place_point(rng, seat, distractors, radius):
     anchor = np.array([SEATS[seat][0] + rng.normal(0, 0.04),
                        side * (0.20 + rng.normal(0, 0.03))])
     grid = sc.plane_feature_stack(TABLE, distractors)
-    margin = max(TABLE.cell_size)
     xs, ys = TABLE.cell_centers()
-    best, best_d = None, np.inf
-    for wide in (True, False):
-        for x in xs:
-            for y in np.compress(np.sign(ys) == side, ys):
-                p = np.array([x, y])
-                d = np.linalg.norm(p - anchor)
-                r = radius + margin if wide else radius
-                if d < best_d and sc.is_valid_placement(p, TABLE, distractors,
-                                                        r, grid=grid):
-                    best, best_d = p, d
-        if best is not None:
+    cells = np.stack(np.meshgrid(xs, ys[np.sign(ys) == side], indexing="ij"),
+                     axis=-1).reshape(-1, 2)
+    for r in (radius + max(TABLE.cell_size), radius):
+        ok = sc.is_valid_placement(cells, TABLE, distractors, r, grid=grid)
+        if ok.any():
             break
-    if best is None or best_d > 0.45:
+    # the norm of one 2-vector is the sqrt of a BLAS dot; a per-row matmul
+    # rounds the same way, and that rounding decides near-ties between cells
+    diff = cells - anchor
+    dist = np.where(ok, np.sqrt(diff[:, None, :] @ diff[:, :, None])[:, 0, 0],
+                    np.inf)
+    k = np.argmin(dist)
+    if dist[k] > 0.45:
         return None
+    best = cells[k]
     jitter = best + rng.uniform(-0.015, 0.015, size=2)
     if sc.is_valid_placement(jitter, TABLE, distractors, radius, grid=grid):
         return jitter

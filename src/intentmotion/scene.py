@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
+from . import autodiff as ad
+
 GRID = 24
 
 MOVABLE_TYPES = ("cup", "plate", "jug", "bowl")
@@ -201,27 +203,22 @@ def plane_feature_stack(plane, objects):
                             cell_size=plane.cell_size)
 
 
-def sdf_bilinear(grid, point):
-    """Continuous SDF lookup at a plane-frame point, in cell units.
+def sdf_bilinear(grid, points):
+    """Continuous SDF lookup at plane-frame points (..., 2), in cell units.
 
     Outside the cell-center range the value is the clamped border
     interpolation minus the Euclidean overshoot in cells, so the field
-    keeps decreasing smoothly past the rim.
+    keeps decreasing smoothly past the rim.  The lookup is the tape's
+    ``bilinear2d`` on constant coordinates; a single point gives a float.
     """
     cw, cd = grid.cell_size
     w, d = cw * GRID, cd * GRID
-    p = np.asarray(point, dtype=float)
-    u = (p[0] + w / 2) / cw - 0.5
-    v = (p[1] + d / 2) / cd - 0.5
-    uc, vc = np.clip(u, 0, GRID - 1), np.clip(v, 0, GRID - 1)
-    over = np.hypot(u - uc, v - vc)
-    i0 = int(np.clip(np.floor(uc), 0, GRID - 2))
-    j0 = int(np.clip(np.floor(vc), 0, GRID - 2))
-    fu, fv = uc - i0, vc - j0
-    g = grid.sdf
-    interp = ((1 - fu) * (1 - fv) * g[i0, j0] + (1 - fu) * fv * g[i0, j0 + 1]
-              + fu * (1 - fv) * g[i0 + 1, j0] + fu * fv * g[i0 + 1, j0 + 1])
-    return float(interp - over)
+    p = np.asarray(points, dtype=float)
+    u = (p[..., 0] + w / 2) / cw - 0.5
+    v = (p[..., 1] + d / 2) / cd - 0.5
+    uv = np.stack([u, v], axis=-1).reshape(1, -1, 2)
+    values = ad.bilinear2d(grid.sdf[None], uv).values.reshape(p.shape[:-1])
+    return float(values) if p.ndim == 1 else values
 
 
 def clearance_cells(radius_m, cell_size):
@@ -229,21 +226,28 @@ def clearance_cells(radius_m, cell_size):
     return radius_m / min(cell_size)
 
 
-def is_valid_placement(point, plane, objects, clearance_radius, grid=None):
-    """True iff the point sits on the plane with the required clearance.
+def is_valid_placement(points, plane, objects, clearance_radius, grid=None):
+    """Which plane-frame points (..., 2) sit on the plane with the
+    required clearance, as a boolean array.
 
-    The point must lie inside the extent shrunk by the radius and the
-    interpolated SDF must be at least the radius in cell units.
+    A point must lie inside the extent shrunk by the radius and the
+    interpolated SDF there must be at least the radius in cell units.
+    Without ``grid`` the feature grid of ``objects`` is built, and only
+    when some point passes the extent test.
     """
     if clearance_radius < 0:
         raise SceneError("clearance_radius must be >= 0")
-    p = np.asarray(point, dtype=float)
+    p = np.asarray(points, dtype=float)
     w, d = plane.extent
-    if abs(p[0]) > w / 2 - clearance_radius or abs(p[1]) > d / 2 - clearance_radius:
-        return False
+    ok = (np.abs(p[..., 0]) <= w / 2 - clearance_radius) \
+        & (np.abs(p[..., 1]) <= d / 2 - clearance_radius)
+    if not ok.any():
+        return ok
     if grid is None:
         grid = plane_feature_stack(plane, objects)
-    return sdf_bilinear(grid, p) >= clearance_cells(clearance_radius, grid.cell_size)
+    # rejected points, non-finite ones among them, are looked up at the center
+    sdf = sdf_bilinear(grid, np.where(ok[..., None], p, 0.0))
+    return ok & (sdf >= clearance_cells(clearance_radius, grid.cell_size))
 
 
 # ---------------------------------------------------------------------------

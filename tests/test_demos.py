@@ -1,0 +1,22 @@
+"""Smoke test: every demo script runs to completion."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("0*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    # TMPDIR keeps the files of demos that make a temporary directory here
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path),
+           "TMPDIR": str(tmp_path)}
+    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]

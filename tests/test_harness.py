@@ -71,6 +71,69 @@ def test_object_track_follows_script(small_world):
     assert np.linalg.norm(held - wrist) < 0.15
 
 
+def _sample_place_point_loop(rng, seat, distractors, radius):
+    """The place-point search written cell by cell: wide clearance first,
+    the nearest valid cell by strict ``<`` in (x, y) order."""
+    side = np.sign(gen.SEATS[seat][1])
+    anchor = np.array([gen.SEATS[seat][0] + rng.normal(0, 0.04),
+                       side * (0.20 + rng.normal(0, 0.03))])
+    grid = sc.plane_feature_stack(gen.TABLE, distractors)
+    margin = max(gen.TABLE.cell_size)
+    xs, ys = gen.TABLE.cell_centers()
+    best, best_d = None, np.inf
+    for wide in (True, False):
+        for x in xs:
+            for y in np.compress(np.sign(ys) == side, ys):
+                p = np.array([x, y])
+                d = np.linalg.norm(p - anchor)
+                r = radius + margin if wide else radius
+                if d < best_d and sc.is_valid_placement(p, gen.TABLE, distractors,
+                                                        r, grid=grid):
+                    best, best_d = p, d
+        if best is not None:
+            break
+    if best is None or best_d > 0.45:
+        return None
+    jitter = best + rng.uniform(-0.015, 0.015, size=2)
+    if sc.is_valid_placement(jitter, gen.TABLE, distractors, radius, grid=grid):
+        return jitter
+    return best
+
+
+def test_sample_place_point_matches_cell_loop():
+    outcomes = set()
+    for seed in range(200):
+        rng = np.random.default_rng([seed, 99])
+        distractors = gen._place_distractors(rng, int(rng.integers(3, 6)))
+        seat = int(rng.integers(4))
+        radius = max(gen.OBJECT_EXTENTS[sc.MOVABLE_TYPES[seed % 4]]) + 0.005
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = gen._sample_place_point(a, seat, distractors, radius)
+        want = _sample_place_point_loop(b, seat, distractors, radius)
+        if want is None:
+            assert got is None
+        else:
+            assert got.tobytes() == want.tobytes()
+        assert a.random() == b.random()  # same draws consumed
+        outcomes.add(want is None)
+    assert outcomes == {True, False}
+
+
+def test_distractor_grid_built_once_per_object(monkeypatch):
+    calls = []
+    build = sc.plane_feature_stack
+
+    def counted(plane, objects):
+        calls.append(len(objects))
+        return build(plane, objects)
+
+    monkeypatch.setattr(sc, "plane_feature_stack", counted)
+    gen._place_distractors(np.random.default_rng(3), 5)
+    # one grid per object to place (5 in the middle, 2 in the side bands),
+    # not one per candidate position
+    assert calls == list(range(7))
+
+
 def test_seat_choice_follows_persona_bias():
     config = gen.GeneratorConfig(seed=5, personas=2, episodes_per_persona=1)
     persona = 0
@@ -261,6 +324,27 @@ def test_cli_truncated_checkpoint_exits_2(tmp_path, capsys):
     assert cli.main(["train-place", "--variant", "transfer"] + base) == 2
     err = capsys.readouterr().err
     assert "autoencoder.ckpt: encoder parameter 'enc/c1/k' has shape" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, model, cut", [
+    ("place_plain", lambda: af.assemble_placeability("plain").store, "trunk/l1/w"),
+    ("grasp_vmf", lambda: af.assemble_graspability("vmf").store, "trunk/l1/w"),
+    ("predictor", lambda: tj.build_predictor().store, "gru/wz"),
+])
+def test_cli_wrong_layout_checkpoint_exits_2(tmp_path, capsys, name, model, cut):
+    cfg = tiny_config(tmp_path)
+    out = tmp_path / "out"
+    base = ["--seed", "2", "--out", str(out), "--config", cfg]
+    assert cli.main(["gen-data"] + base) == 0
+    store, wrong = model(), ParamStore()
+    for n in store.names():
+        wrong.add(n, store[n].values[..., :-1] if n == cut else store[n].values)
+    (out / "checkpoints").mkdir()
+    wrong.save(out / "checkpoints" / f"{name}.ckpt")
+    assert cli.main(["eval"] + base) == 2
+    err = capsys.readouterr().err
+    assert f"{name}.ckpt: " in err and f"parameter {cut!r} has shape" in err
     assert "Traceback" not in err
 
 

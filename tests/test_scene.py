@@ -227,6 +227,70 @@ class TestValidPlacement:
                 assert small or not large
 
 
+class TestVectorisedGeometry:
+    """Array queries against per-point calls and the dense overshoot formula."""
+
+    def queries(self, table):
+        xs, ys = table.cell_centers()
+        centers = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1)
+        rng = np.random.default_rng(21)
+        scattered = rng.uniform((-0.9, -0.5), (0.9, 0.5), size=(300, 2))
+        return centers, scattered
+
+    def test_sdf_array_matches_point_calls(self, table):
+        grid = sc.plane_feature_stack(table, [cup(0.2, 0.1), cup(-0.4, -0.2)])
+        for points in self.queries(table):
+            values = sc.sdf_bilinear(grid, points)
+            assert values.shape == points.shape[:-1]
+            flat = points.reshape(-1, 2)
+            expected = np.array([sc.sdf_bilinear(grid, p) for p in flat])
+            assert np.array_equal(values.ravel(), expected)
+        assert isinstance(sc.sdf_bilinear(grid, (0.1, 0.1)), float)
+
+    def test_validity_array_matches_point_calls(self, table):
+        objs = [cup(0.2, 0.1), cup(-0.4, -0.2, half=0.08)]
+        grid = sc.plane_feature_stack(table, objs)
+        for points in self.queries(table):
+            for r in (0.0, 0.045, 0.1):
+                flags = sc.is_valid_placement(points, table, objs, r, grid=grid)
+                assert flags.shape == points.shape[:-1] and flags.dtype == bool
+                expected = [bool(sc.is_valid_placement(p, table, objs, r, grid=grid))
+                            for p in points.reshape(-1, 2)]
+                assert flags.ravel().tolist() == expected
+                # the grid built on demand gives the same mask
+                assert np.array_equal(
+                    sc.is_valid_placement(points, table, objs, r), flags)
+
+    def test_non_finite_points_are_invalid(self, table):
+        points = np.array([[np.nan, 0.0], [0.0, np.inf], [0.0, 0.0]])
+        with np.errstate(all="raise"):
+            flags = sc.is_valid_placement(points, table, [], 0.05)
+        assert flags.tolist() == [False, False, True]
+
+    def test_overshoot_outside_hull_vs_dense_oracle(self, table):
+        grid = sc.plane_feature_stack(table, [cup(0.2, 0.1)])
+        cw, cd = table.cell_size
+        rng = np.random.default_rng(5)
+        # beyond the cell-center hull on one or both axes
+        points = np.concatenate([
+            rng.uniform((-1.2, -0.6), (-0.78, 0.6), size=(50, 2)),
+            rng.uniform((0.78, 0.39), (1.2, 0.8), size=(50, 2)),
+            rng.uniform((-0.7, 0.39), (0.7, 0.9), size=(50, 2))])
+        values = sc.sdf_bilinear(grid, points)
+        g = grid.sdf
+        for (x, y), value in zip(points, values):
+            u = (x + 0.8) / cw - 0.5
+            v = (y + 0.4) / cd - 0.5
+            uc, vc = min(max(u, 0.0), 23.0), min(max(v, 0.0), 23.0)
+            i0, j0 = min(int(uc), 22), min(int(vc), 22)
+            fu, fv = uc - i0, vc - j0
+            oracle = ((1 - fu) * (1 - fv) * g[i0, j0]
+                      + (1 - fu) * fv * g[i0, j0 + 1]
+                      + fu * (1 - fv) * g[i0 + 1, j0]
+                      + fu * fv * g[i0 + 1, j0 + 1]) - np.hypot(u - uc, v - vc)
+            assert value == pytest.approx(oracle, abs=1e-12)
+
+
 class TestSerialization:
     def test_roundtrip(self, table):
         objs = [cup(0.1, -0.1), sc.SceneObject("j", "jug", (1.6, 0.5, 1.0),
