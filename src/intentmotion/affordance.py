@@ -598,12 +598,11 @@ def valid_region_rate(model, data, clearance=None, batch=256):
         idx = np.arange(lo, min(lo + batch, len(data)))
         d = data.subset(idx)
         dists = placeability_predict(model, d.traj, d.onehot, d.features)
-        for k, dist in enumerate(dists):
-            point = dist.mu[dn.mdn_top_component(dist)]
-            r = d.radius[k] if clearance is None else clearance
-            plane, grid = _row_geometry(d, k)
-            hits[d.offset[k]].append(sc.is_valid_placement(point, plane, [], r,
-                                                           grid=grid))
+        points = np.array([dist.mu[dn.mdn_top_component(dist)] for dist in dists])
+        r = d.radius if clearance is None else np.full(len(d), clearance)
+        ok = sc.valid_placement_rows(points, d.half_extent, r, d.sdf, d.cell_size)
+        for offset, hit in zip(d.offset, ok):
+            hits[offset].append(hit)
     return {float(o): float(np.mean(v)) for o, v in hits.items()}
 
 

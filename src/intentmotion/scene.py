@@ -203,6 +203,16 @@ def plane_feature_stack(plane, objects):
                             cell_size=plane.cell_size)
 
 
+def _sdf_lookup(sdf, cw, cd, points):
+    """Bilinear lookup, in cell units, in SDF grids (N, 24, 24) at
+    plane-frame points (N, M, 2); the cell sizes ``cw`` and ``cd`` are
+    numbers or (N, 1) arrays."""
+    w, d = cw * GRID, cd * GRID
+    u = (points[..., 0] + w / 2) / cw - 0.5
+    v = (points[..., 1] + d / 2) / cd - 0.5
+    return ad.bilinear2d(sdf, np.stack([u, v], axis=-1)).values
+
+
 def sdf_bilinear(grid, points):
     """Continuous SDF lookup at plane-frame points (..., 2), in cell units.
 
@@ -212,18 +222,20 @@ def sdf_bilinear(grid, points):
     ``bilinear2d`` on constant coordinates; a single point gives a float.
     """
     cw, cd = grid.cell_size
-    w, d = cw * GRID, cd * GRID
     p = np.asarray(points, dtype=float)
-    u = (p[..., 0] + w / 2) / cw - 0.5
-    v = (p[..., 1] + d / 2) / cd - 0.5
-    uv = np.stack([u, v], axis=-1).reshape(1, -1, 2)
-    values = ad.bilinear2d(grid.sdf[None], uv).values.reshape(p.shape[:-1])
+    values = _sdf_lookup(grid.sdf[None], cw, cd, p.reshape(1, -1, 2))
+    values = values.reshape(p.shape[:-1])
     return float(values) if p.ndim == 1 else values
 
 
 def clearance_cells(radius_m, cell_size):
     """Metric clearance radius in cell units (conservative: smaller cell)."""
     return radius_m / min(cell_size)
+
+
+def _within_extent(p, half_w, half_d, clearance_radius):
+    return (np.abs(p[..., 0]) <= half_w - clearance_radius) \
+        & (np.abs(p[..., 1]) <= half_d - clearance_radius)
 
 
 def is_valid_placement(points, plane, objects, clearance_radius, grid=None):
@@ -239,8 +251,7 @@ def is_valid_placement(points, plane, objects, clearance_radius, grid=None):
         raise SceneError("clearance_radius must be >= 0")
     p = np.asarray(points, dtype=float)
     w, d = plane.extent
-    ok = (np.abs(p[..., 0]) <= w / 2 - clearance_radius) \
-        & (np.abs(p[..., 1]) <= d / 2 - clearance_radius)
+    ok = _within_extent(p, w / 2, d / 2, clearance_radius)
     if not ok.any():
         return ok
     if grid is None:
@@ -248,6 +259,26 @@ def is_valid_placement(points, plane, objects, clearance_radius, grid=None):
     # rejected points, non-finite ones among them, are looked up at the center
     sdf = sdf_bilinear(grid, np.where(ok[..., None], p, 0.0))
     return ok & (sdf >= clearance_cells(clearance_radius, grid.cell_size))
+
+
+def valid_placement_rows(points, half_extent, clearance_radius, sdf, cell_size):
+    """``is_valid_placement`` for N points on N planes in one lookup.
+
+    Point i (``points`` is (N, 2)) is tested on a plane of half extents
+    ``half_extent[i]`` whose SDF grid is ``sdf[i]`` (N, 24, 24), with
+    cells of ``cell_size[i]``, at clearance ``clearance_radius[i]``.  The
+    flags equal those of ``is_valid_placement`` row by row.
+    """
+    r = np.asarray(clearance_radius, dtype=float)
+    if np.any(r < 0):
+        raise SceneError("clearance_radius must be >= 0")
+    p = np.asarray(points, dtype=float)
+    ok = _within_extent(p, half_extent[:, 0], half_extent[:, 1], r)
+    # rejected points, non-finite ones among them, are looked up at the center
+    cw, cd = cell_size[:, 0], cell_size[:, 1]
+    values = _sdf_lookup(sdf, cw[:, None], cd[:, None],
+                         np.where(ok[:, None], p, 0.0)[:, None])[:, 0]
+    return ok & (values >= r / np.minimum(cw, cd))
 
 
 # ---------------------------------------------------------------------------

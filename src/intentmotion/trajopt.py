@@ -13,12 +13,17 @@ close to the learned dynamics.  Place goals target a hover point a
 fixed offset above the predicted place position; grasp goals target
 the point itself.
 
-The optimizer runs on plain numpy: ``warm_start`` runs the observed
-frames once per problem, ``rollout`` steps the cell over the horizon and
-``rollout_adjoint`` back-propagates through time to d(loss)/d(controls).
-The tape version (``unroll``, ``c_goalset``, ``c_lowlevel``) computes the
-same states, bit for bit, and is the reference the numpy path is tested
-against; predictor training still runs on the tape.
+The optimizer and predictor training run on plain numpy.  For the
+optimizer, ``warm_start`` runs the observed frames once per problem,
+``rollout`` steps the cell over the horizon and ``rollout_adjoint``
+back-propagates through time to d(loss)/d(controls).  Training runs a
+batch of windows forward with scheduled sampling (``_batch_forward``) and
+back through time to the gradient of every parameter
+(``_batch_backward``).  Both backward passes go through one cell adjoint,
+``_cell_adjoint``, and every sum runs in the order of the tape's backward
+pass, so states, losses and gradients equal the tape's bit for bit.  The
+tape version (``unroll``, ``c_goalset``, ``c_lowlevel``) is the reference
+the numpy path is tested against.
 """
 
 from __future__ import annotations
@@ -169,8 +174,9 @@ def c_goalset(predictor, observed, delta, target, wrist_index=sc.R_WRIST):
 # plain-numpy rollout and its adjoint (backpropagation through time)
 #
 # The forward computes the sums of ``_gru_step`` and ``unroll`` in the
-# same order on the same (1, n) shapes, so its states equal the tape's
-# bit for bit.
+# same order on the same shapes, so its states equal the tape's bit for
+# bit.  The adjoint adds the terms of each gradient in the order the
+# tape's reverse topological walk adds them.
 
 _GRU_NAMES = ("gru/wz", "gru/uz", "gru/bz", "gru/wr", "gru/ur", "gru/br",
               "gru/wh", "gru/uh", "gru/bh", "out/w", "out/b")
@@ -225,34 +231,52 @@ def rollout(predictor, start, delta):
     return states, steps
 
 
+def _cell_adjoint(w, step, g_new, with_x=True):
+    """Back through one ``_np_gru_step``, in the tape's summation order.
+
+    ``step`` is the step's (h, z, r, c) and ``g_new`` is d(loss)/d(h_new).
+    Returns ((g_z, g_r, g_c), g_x, g_h, g_hr): the gradients at the
+    pre-activations of the update gate, the reset gate and the candidate;
+    d(loss)/dx (None without ``with_x``); and d(loss)/dh in two parts.
+    The tape sums d/dh as ``(g_h + g_out) + g_hr``, where ``g_out``
+    reaches h from the output head of the step before and ``g_hr`` is the
+    reset gate's recurrent term.
+    """
+    wz, uz, _, wr, ur, _, wh, uh, _ = w[:9]
+    h, z, r, c = step
+    # h_new = (1 - z) * h + z * c
+    g_z = (g_new * c - g_new * h) * z * (1.0 - z)
+    g_c = g_new * z * (1.0 - c**2)
+    g_rh = g_c @ uh.T
+    g_r = g_rh * h * r * (1.0 - r)
+    g_x = g_z @ wz.T + g_c @ wh.T + g_r @ wr.T if with_x else None
+    g_h = g_new * (1.0 - z) + g_z @ uz.T + g_rh * r
+    return (g_z, g_r, g_c), g_x, g_h, g_r @ ur.T
+
+
 def rollout_adjoint(predictor, steps, grad_states):
     """d(loss)/d(controls), shape (horizon, D), given d(loss)/d(states).
 
-    Walks the steps of ``rollout`` backward.  ``gs``, ``gv`` and ``gh``
-    carry the loss gradient with respect to the state, velocity and
-    hidden state that enter the next step.
+    Walks the steps of ``rollout`` backward.  ``gs`` and ``gv`` carry the
+    loss gradient with respect to the state and velocity that enter the
+    next step, ``g_h`` and ``g_hr`` the next cell's two parts of the
+    gradient at the hidden state.
     """
-    wz, uz, _, wr, ur, _, wh, uh, _, out_w, _ = (
-        predictor.store[n].values for n in _GRU_NAMES)
+    w = [predictor.store[n].values for n in _GRU_NAMES]
+    out_w = w[9]
     d = predictor.state_dim
     grad_states = np.asarray(grad_states, dtype=float)
     grad = np.empty_like(grad_states)
     gs = np.zeros((1, d))
     gv = np.zeros((1, d))
-    gh = np.zeros((1, predictor.hidden))
+    g_h = g_hr = None
     for k in range(len(steps) - 1, -1, -1):
-        h, z, r, c = steps[k]
         # s_next = s + residual + delta[k] and v_next = s_next - s
         g_next = gs + gv + grad_states[k:k + 1]
         grad[k] = g_next[0]
-        gh = gh + g_next @ out_w.T
-        # h_new = (1 - z) * h + z * c
-        g_c = gh * z * (1.0 - c * c)
-        g_rh = g_c @ uh.T
-        g_z = gh * (c - h) * z * (1.0 - z)
-        g_r = g_rh * h * r * (1.0 - r)
-        g_x = g_z @ wz.T + g_r @ wr.T + g_c @ wh.T
-        gh = gh * (1.0 - z) + g_rh * r + g_z @ uz.T + g_r @ ur.T
+        g_out = g_next @ out_w.T
+        g_new = g_out if g_h is None else g_h + g_out + g_hr
+        _, g_x, g_h, g_hr = _cell_adjoint(w, steps[k], g_new)
         gs = g_next - gv + g_x[:, :d]
         gv = g_x[:, d:]
     return grad
@@ -260,8 +284,9 @@ def rollout_adjoint(predictor, steps, grad_states):
 
 def goal_objective(predictor, start, delta, target, alpha1=1.0, alpha2=10.0,
                    wrist_index=sc.R_WRIST):
-    """alpha1 * c_lowlevel + alpha2 * c_goalset from a warm start, and its
-    gradient with respect to the controls: (value, (horizon, D) array)."""
+    """alpha1 * c_lowlevel + alpha2 * c_goalset from a warm start, its
+    gradient with respect to the controls, and the rolled-out states:
+    (value, (horizon, D) array, (horizon, D) states)."""
     traj, steps = rollout(predictor, start, delta)
     lo = 3 * wrist_index
     miss = traj[-1, lo:lo + 3] - target
@@ -269,7 +294,7 @@ def goal_objective(predictor, start, delta, target, alpha1=1.0, alpha2=10.0,
     grad_traj = np.zeros_like(traj)
     grad_traj[-1, lo:lo + 3] = 2.0 * alpha2 * miss
     grad = rollout_adjoint(predictor, steps, grad_traj)
-    return float(value), grad + 2.0 * alpha1 * delta
+    return float(value), grad + 2.0 * alpha1 * delta, traj
 
 
 # ---------------------------------------------------------------------------
@@ -372,15 +397,21 @@ def predict_fullbody(predictor, observed, goal, goal_mode="place", alpha1=1.0,
     lo = 3 * wrist_index
     start = warm_start(predictor, problem.observed)
 
+    last = {}  # the last evaluated controls and their rollout
+
     def objective(x):
-        value, grad = goal_objective(predictor, start, x.reshape(shape),
-                                     target, alpha1, alpha2, wrist_index)
+        value, grad, last["traj"] = goal_objective(
+            predictor, start, x.reshape(shape), target, alpha1, alpha2, wrist_index)
+        last["x"] = x.tobytes()
         return value, grad.ravel()
 
     x_star, history = lbfgs_minimize(objective, np.zeros(shape).ravel(),
                                      max_iters=max_iters, tol=tol)
     delta_star = x_star.reshape(shape)
-    traj, _ = rollout(predictor, start, delta_star)
+    if last["x"] == x_star.tobytes():
+        traj = last["traj"]
+    else:  # the last evaluation was a rejected trial step
+        traj, _ = rollout(predictor, start, delta_star)
     final_goal_dist = float(np.linalg.norm(traj[-1, lo:lo + 3] - target))
     diagnostics = {"c_goalset": final_goal_dist**2,
                    "goal_distance": final_goal_dist,
@@ -430,7 +461,9 @@ def train_predictor(windows, epochs, lr=1e-3, seed=0, batch=32,
     windows = np.asarray(windows, dtype=float)
     if windows.ndim != 3 or windows.shape[2] != STATE_DIM:
         raise TrajoptError(f"windows must be (N, T, {STATE_DIM})")
-    n, t, d_ = windows.shape
+    n, t, _ = windows.shape
+    if not 1 <= observed < t:
+        raise TrajoptError(f"windows must hold more than observed={observed} frames")
     horizon = t - observed
     predictor = build_predictor(seed)
     store = predictor.store
@@ -443,43 +476,119 @@ def train_predictor(windows, epochs, lr=1e-3, seed=0, batch=32,
         total, count = 0.0, 0
         for lo_i in range(0, n, batch):
             idx = order[lo_i:lo_i + batch]
-            obs = windows[idx, :observed]
-            future = windows[idx, observed:]
             b = len(idx)
-            h, s, v = _warmup(predictor, obs)
-            losses = []
-            for k in range(horizon):
-                x = ad.concat([s, v], axis=-1)
-                h = _gru_step(store, x, h)
-                residual = ad.add(ad.matmul(h, store["out/w"]), store["out/b"])
-                s_next = ad.add(s, residual)
-                diff = ad.sub(s_next, future[:, k])
-                losses.append(ad.sum_(ad.mul(diff, diff)))
-                # scheduled sampling: self-fed rows keep gradient flow,
-                # teacher-forced rows take the ground-truth frame
-                use_self = rng.random(b) < p_self
-                s_mixed = ad.add(ad.mul(s_next, use_self[:, None].astype(float)),
-                                 future[:, k] * (~use_self)[:, None])
-                v = ad.sub(s_mixed, s)
-                s = s_mixed
-            loss = ad.mul(_sum_list(losses), 1.0 / (b * horizon * d_))
-            if not np.isfinite(loss.item()):
+            use_self = np.array([rng.random(b) < p_self for _ in range(horizon)])
+            w = [store[name].values for name in _GRU_NAMES]
+            loss, cache = _batch_forward(w, windows[idx, :observed],
+                                         windows[idx, observed:], use_self)
+            if not np.isfinite(loss):
                 raise TrajoptError(f"training diverged at epoch {epoch}")
             store.zero_grad()
-            ad.backward(loss)
+            for name, g in zip(_GRU_NAMES, _batch_backward(w, cache)):
+                store[name].grad = g
             _clip_gradients(store, clip_norm)
             store.adam_step(lr)
-            total += loss.item() * b
+            total += float(loss) * b
             count += b
         curve.append(total / count)
     return predictor, curve
 
 
-def _sum_list(tensors):
-    total = tensors[0]
-    for t in tensors[1:]:
-        total = ad.add(total, t)
-    return total
+def _batch_forward(w, obs, future, use_self):
+    """Scheduled-sampling loss of one training batch, and the cache
+    ``_batch_backward`` takes.
+
+    ``w`` holds the ``_GRU_NAMES`` arrays.  ``obs`` (B, t, D) warm the
+    cell up and each frame of ``future`` (B, horizon, D) is predicted from
+    the state before it.  Row i starts step k + 1 from its own prediction
+    of frame k where ``use_self[k, i]`` holds and from the true frame
+    elsewhere.  The loss is the mean squared error over all predicted
+    frames, summed as the tape sums it, so it equals the tape's bit for
+    bit.
+    """
+    out_w, out_b = w[9], w[10]
+    b, t, d = obs.shape
+    horizon = future.shape[1]
+    h = np.zeros((b, w[1].shape[0]))
+    steps = []  # per cell: (x, h, z, r, c)
+    for i in range(t):
+        vel = obs[:, i] - obs[:, i - 1] if i > 0 else np.zeros_like(obs[:, 0])
+        x = np.concatenate([obs[:, i], vel], axis=-1)
+        h_new, z, r, c = _np_gru_step(w, x, h)
+        steps.append((x, h, z, r, c))
+        h = h_new
+    s, v = obs[:, -1], vel
+    losses, diffs, keeps, heads = [], [], [], []
+    for k in range(horizon):
+        x = np.concatenate([s, v], axis=-1)
+        h_new, z, r, c = _np_gru_step(w, x, h)
+        s_next = s + (h_new @ out_w + out_b)
+        diff = s_next - future[:, k]
+        losses.append(np.sum(diff * diff))
+        keep = use_self[k][:, None].astype(float)
+        s_mixed = s_next * keep + future[:, k] * (~use_self[k])[:, None]
+        steps.append((x, h, z, r, c))
+        diffs.append(diff)
+        keeps.append(keep)
+        heads.append(h_new)
+        h, v, s = h_new, s_mixed - s, s_mixed
+    scale = 1.0 / (b * horizon * d)
+    return sum(losses) * scale, (steps, diffs, keeps, heads, scale)
+
+
+def _batch_backward(w, cache):
+    """Gradients of ``_batch_forward``'s loss for the ``_GRU_NAMES`` tensors.
+
+    Backpropagation through time over the warm-up and predicted steps.
+    Every sum runs in the order and on the operand shapes of the tape's
+    backward pass, and each parameter takes its per-step terms last step
+    first, so the gradients equal the tape's bit for bit.
+    """
+    steps, diffs, keeps, heads, scale = cache
+    out_w = w[9]
+    horizon = len(heads)
+    t = len(steps) - horizon
+    d = diffs[0].shape[1]
+    grads = [None] * len(_GRU_NAMES)
+
+    def acc(i, g):
+        if grads[i] is None:
+            grads[i] = g + 0.0
+        else:
+            grads[i] += g
+
+    g_state = g_vel = None  # d/d(state, velocity) entering the step after
+    g_h = g_hr = None  # the step after's two parts of d/d(hidden state)
+    for j in range(t + horizon - 1, -1, -1):
+        k = j - t
+        x, h, z, r, c = steps[j]
+        if k >= 0:
+            # loss_k = sum(diff^2) * scale with diff = s_next - future[k],
+            # s_next = s + h_new @ out_w + out_b, and the next step's
+            # state s_next * keep + future[k] * (1 - keep)
+            g_sn = scale * diffs[k]
+            g_sn = g_sn + g_sn
+            if g_state is not None:
+                g_sn = g_sn + g_state * keeps[k]
+            acc(9, heads[k].T @ g_sn)
+            acc(10, g_sn.sum(axis=0))
+            g_out = g_sn @ out_w.T
+            g_new = g_out if g_h is None else g_h + g_out + g_hr
+        else:
+            g_new = g_h + g_hr
+        gates, g_x, g_h, g_hr = _cell_adjoint(w, (h, z, r, c), g_new, with_x=k > 0)
+        for i, (g, h_in) in enumerate(zip(gates, (h, h, r * h))):
+            acc(3 * i, x.T @ g)
+            acc(3 * i + 1, h_in.T @ g)
+            acc(3 * i + 2, g.sum(axis=0))
+        if k > 0:
+            # the tape adds the terms of the state entering step k in this
+            # order: from the velocity after step k (negated), s_next,
+            # the input x, and the velocity entering step k
+            g_s = g_sn if g_vel is None else g_sn - g_vel
+            g_vel = g_x[:, d:]
+            g_state = g_s + g_x[:, :d] + g_vel
+    return grads
 
 
 # ---------------------------------------------------------------------------

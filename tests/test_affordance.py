@@ -376,6 +376,106 @@ def test_valid_region_rate_shape_and_range():
         assert 0.0 <= v <= 1.0
 
 
+def make_mixed_place_set(n, seed):
+    """Rows on three planes of different sizes, layouts and radii."""
+    rng = np.random.default_rng(seed)
+    planes = [
+        (sc.SupportPlane("table", (0.0, 0.0), (1.2, 1.2), 0.72),
+         [sc.SceneObject("cup0", "cup", (0.2, 0.1, 0.72), 0.0, (0.06, 0.06))]),
+        (sc.SupportPlane("table", (0.0, 0.0), (1.6, 0.8), 0.72),
+         [sc.SceneObject("plate0", "plate", (-0.3, 0.0, 0.72), 0.0, (0.12, 0.12)),
+          sc.SceneObject("cup1", "cup", (0.5, -0.2, 0.72), 0.0, (0.05, 0.05))]),
+        (sc.SupportPlane("table", (0.0, 0.0), (0.9, 0.6), 0.72), []),
+    ]
+    rows = [planes[i % 3] for i in range(n)]
+    return af.PlaceabilitySet(
+        traj=0.1 * rng.normal(size=(n, af.TRAJ_DIM)),
+        onehot=np.tile(sc.onehot_code("cup", "table"), (n, 1)),
+        features=np.stack([sc.plane_feature_stack(p, objs).stack() for p, objs in rows]),
+        label=rng.uniform(-0.4, 0.4, size=(n, 2)),
+        cell_size=np.array([p.cell_size for p, _ in rows]),
+        half_extent=np.array([np.asarray(p.extent) / 2 for p, _ in rows]),
+        radius=np.array([0.0, 0.03, 0.05, 0.12])[np.arange(n) % 4],
+        offset=np.array([0.5, 1.0, 2.0])[rng.integers(3, size=n)],
+        persona=np.arange(n) % 3,
+        pelvis_plane=rng.uniform(-0.5, 0.5, size=(n, 2)),
+    )
+
+
+def crafted_points(data, seed):
+    """Plane-frame points over and past each row's extent, some non-finite."""
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(-1.2, 1.2, size=(len(data), 2)) * data.half_extent
+    points[3] = (np.nan, 0.0)
+    points[7] = (np.inf, -np.inf)
+    points[11] = data.half_extent[11] - data.radius[11]  # on the shrunk border
+    points[13] = (-0.0, 0.0)
+    return points
+
+
+def per_row_flags(points, data, radius):
+    """The oracle: one is_valid_placement call per row, on its own plane."""
+    flags = []
+    for k, point in enumerate(points):
+        plane = sc.SupportPlane("table", (0.0, 0.0), tuple(2 * data.half_extent[k]), 0.0)
+        f = data.features[k]
+        grid = sc.PlaneFeatureGrid(occupancy=f[..., 0], pos_x=f[..., 1],
+                                   pos_y=f[..., 2], sdf=f[..., 3],
+                                   cell_size=tuple(data.cell_size[k]))
+        flags.append(bool(sc.is_valid_placement(point, plane, [], radius[k], grid=grid)))
+    return flags
+
+
+def per_row_valid_region_rate(model, data, clearance=None, batch=256):
+    """valid_region_rate with one is_valid_placement call per row."""
+    hits = {o: [] for o in np.unique(data.offset)}
+    for lo in range(0, len(data), batch):
+        d = data.subset(np.arange(lo, min(lo + batch, len(data))))
+        dists = af.placeability_predict(model, d.traj, d.onehot, d.features)
+        points = [dist.mu[dn.mdn_top_component(dist)] for dist in dists]
+        radius = d.radius if clearance is None else np.full(len(d), clearance)
+        for offset, flag in zip(d.offset, per_row_flags(points, d, radius)):
+            hits[offset].append(flag)
+    return {float(o): float(np.mean(v)) for o, v in hits.items()}
+
+
+def test_valid_placement_rows_equal_per_row_calls():
+    data = make_mixed_place_set(30, seed=40)
+    for seed in range(5):
+        points = crafted_points(data, seed)
+        flags = sc.valid_placement_rows(points, data.half_extent, data.radius,
+                                        data.sdf, data.cell_size)
+        expected = per_row_flags(points, data, data.radius)
+        assert flags.tolist() == expected
+        assert any(expected) and not all(expected)
+    with pytest.raises(sc.SceneError):
+        sc.valid_placement_rows(points, data.half_extent, -data.radius - 0.01,
+                                data.sdf, data.cell_size)
+
+
+def test_valid_region_rate_equals_per_row_oracle(monkeypatch):
+    data = make_mixed_place_set(30, seed=41)
+    model = af.assemble_placeability("no-cnn", seed=41)
+    for clearance in (None, 0.02):
+        for batch in (256, 7):
+            assert af.valid_region_rate(model, data, clearance, batch) == \
+                per_row_valid_region_rate(model, data, clearance, batch)
+
+    # crafted predictions: the top component sits at the row's crafted point
+    points = {tuple(row[:3]): p for row, p in zip(data.traj, crafted_points(data, 9))}
+
+    def predict(model, traj, onehot, features=None):
+        return [dn.MixtureDensity2D(np.array([0.25, 0.75]),
+                                    np.stack([np.zeros(2), points[tuple(row[:3])]]),
+                                    np.ones((2, 2))) for row in traj]
+
+    monkeypatch.setattr(af, "placeability_predict", predict)
+    for batch in (256, 7):
+        rates = af.valid_region_rate(None, data, batch=batch)
+        assert rates == per_row_valid_region_rate(None, data, batch=batch)
+        assert 0.0 < min(rates.values()) and max(rates.values()) < 1.0
+
+
 def test_grasp_stats_oracle():
     data = make_grasp_set(12, seed=8)
     stats = af.compute_grasp_stats(data)

@@ -158,17 +158,18 @@ def test_rollout_equals_tape_unroll_bit_for_bit(shape_kw, wrist):
 def test_adjoint_matches_tape_gradient(shape_kw, wrist):
     p, obs, delta, target = kernel_case(shape_kw, 21)
     alpha2 = 10.0
-    value, grad = tj.goal_objective(p, tj.warm_start(p, obs), delta, target,
-                                    alpha1=1.0, alpha2=alpha2,
-                                    wrist_index=wrist)
+    value, grad, _ = tj.goal_objective(p, tj.warm_start(p, obs), delta, target,
+                                       alpha1=1.0, alpha2=alpha2,
+                                       wrist_index=wrist)
     d = Tensor(delta.copy())
     loss = ad.add(tj.c_lowlevel(d),
                   ad.mul(tj.c_goalset(p, obs, d, target, wrist_index=wrist),
                          alpha2))
     ad.backward(loss)
     assert value == pytest.approx(loss.item(), rel=1e-12)
-    rel = np.max(np.abs(grad - d.grad)) / np.max(np.abs(d.grad))
-    assert rel <= 1e-10
+    # the cell adjoint sums in the tape's order, so the gradients agree
+    # bit for bit
+    assert np.array_equal(grad, d.grad)
 
 
 @pytest.mark.parametrize("shape_kw,wrist", KERNEL_SHAPES)
@@ -179,7 +180,7 @@ def test_adjoint_matches_central_differences(shape_kw, wrist):
     def f(x):
         return tj.goal_objective(p, start, x, target, wrist_index=wrist)
 
-    _, grad = f(delta)
+    _, grad, _ = f(delta)
     rng = np.random.default_rng(23)
     step = 1e-6
     # the last step's controls move the wrist directly; earlier ones only
@@ -193,6 +194,47 @@ def test_adjoint_matches_central_differences(shape_kw, wrist):
         down[k, j] -= step
         numeric = (f(up)[0] - f(down)[0]) / (2 * step)
         assert grad[k, j] == pytest.approx(numeric, rel=1e-5, abs=1e-7), (k, j)
+
+
+def test_predict_fullbody_returns_the_rollout_of_its_controls(monkeypatch):
+    p, obs, _, _ = kernel_case({}, 25)
+    goal = np.array([0.3, 0.2, 0.6])
+    start = tj.warm_start(p, obs)
+    calls = {"rollout": 0, "objective": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(tj, "rollout", counted("rollout", tj.rollout))
+    monkeypatch.setattr(tj, "goal_objective", counted("objective", tj.goal_objective))
+    for mode in ("place", "grasp"):
+        traj, delta, diag = tj.predict_fullbody(p, obs, goal, goal_mode=mode,
+                                                max_iters=15)
+        assert np.any(delta != 0.0)
+        assert np.array_equal(traj, tj.rollout(p, start, delta)[0])
+    # the returned states are the last evaluation's: no extra rollout
+    # beyond the checks above
+    assert calls["rollout"] == calls["objective"] + 2
+
+
+def test_predict_fullbody_rolls_out_again_after_a_rejected_step(monkeypatch):
+    # an optimizer whose last evaluation is not the point it returns, as
+    # after a failed line search
+    p, obs, _, _ = kernel_case({}, 26)
+    real = tj.lbfgs_minimize
+
+    def lbfgs(objective, x0, **kwargs):
+        x, history = real(objective, x0, **kwargs)
+        objective(x + 0.5)
+        return x, history
+
+    monkeypatch.setattr(tj, "lbfgs_minimize", lbfgs)
+    traj, delta, _ = tj.predict_fullbody(p, obs, [0.3, 0.2, 0.6], max_iters=5)
+    assert np.any(delta != 0.0)
+    assert np.array_equal(traj, tj.rollout(p, tj.warm_start(p, obs), delta)[0])
 
 
 def test_predict_fullbody_rejects_nonfinite_observation():
@@ -334,6 +376,125 @@ def make_windows(n, frames, seed):
     return np.stack([slow_motion(rng, frames, scale=0.02) for _ in range(n)])
 
 
+def tape_batch_loss(predictor, obs, future, masks):
+    """The tape's scheduled-sampling loss of one batch, as train_predictor
+    built it before the numpy backward pass; ``masks`` yields each
+    predicted step's self-fed rows after that step's loss."""
+    store = predictor.store
+    b, _, d = obs.shape
+    h, s, v = tj._warmup(predictor, obs)
+    losses = []
+    for k in range(future.shape[1]):
+        x = ad.concat([s, v], axis=-1)
+        h = tj._gru_step(store, x, h)
+        residual = ad.add(ad.matmul(h, store["out/w"]), store["out/b"])
+        s_next = ad.add(s, residual)
+        diff = ad.sub(s_next, future[:, k])
+        losses.append(ad.sum_(ad.mul(diff, diff)))
+        use_self = next(masks)
+        s_mixed = ad.add(ad.mul(s_next, use_self[:, None].astype(float)),
+                         future[:, k] * (~use_self)[:, None])
+        v = ad.sub(s_mixed, s)
+        s = s_mixed
+    total = losses[0]
+    for loss in losses[1:]:
+        total = ad.add(total, loss)
+    return ad.mul(total, 1.0 / (b * future.shape[1] * d))
+
+
+def tape_train_predictor(windows, epochs, lr=1e-3, seed=0, batch=32,
+                         observed=tj.OBSERVED_FRAMES, ramp_epochs=None,
+                         clip_norm=1.0):
+    """The tape training loop: the oracle for train_predictor."""
+    n, t, _ = windows.shape
+    predictor = tj.build_predictor(seed)
+    store = predictor.store
+    rng = np.random.default_rng(seed)
+    ramp = ramp_epochs if ramp_epochs is not None else max(1, epochs // 2)
+    curve = []
+    for epoch in range(epochs):
+        p_self = min(1.0, epoch / ramp)
+        order = rng.permutation(n)
+        total, count = 0.0, 0
+        for lo in range(0, n, batch):
+            idx = order[lo:lo + batch]
+            b = len(idx)
+            masks = (rng.random(b) < p_self for _ in range(t - observed))
+            loss = tape_batch_loss(predictor, windows[idx, :observed],
+                                   windows[idx, observed:], masks)
+            store.zero_grad()
+            ad.backward(loss)
+            tj._clip_gradients(store, clip_norm)
+            store.adam_step(lr)
+            total += loss.item() * b
+            count += b
+        curve.append(total / count)
+    return predictor, curve
+
+
+def training_batch(seed, b=6, frames=tj.OBSERVED_FRAMES + tj.HORIZON,
+                   observed=tj.OBSERVED_FRAMES):
+    """A predictor with random biases and a batch of smooth windows."""
+    p, *_ = kernel_case({}, seed)
+    windows = make_windows(b, frames, seed)
+    return p, windows[:, :observed], windows[:, observed:]
+
+
+@pytest.mark.parametrize("mask", ["teacher", "self", "mixed"])
+def test_batch_loss_and_gradients_equal_the_tape(mask):
+    p, obs, future = training_batch(30)
+    horizon, b = future.shape[1], future.shape[0]
+    use_self = {"teacher": np.zeros((horizon, b), bool),
+                "self": np.ones((horizon, b), bool),
+                "mixed": np.random.default_rng(31).random((horizon, b)) < 0.5}[mask]
+    w = [p.store[n].values for n in tj._GRU_NAMES]
+    loss, cache = tj._batch_forward(w, obs, future, use_self)
+    grads = tj._batch_backward(w, cache)
+    tape = tape_batch_loss(p, obs, future, iter(use_self))
+    ad.backward(tape)
+    assert loss == tape.item()
+    for name, g in zip(tj._GRU_NAMES, grads):
+        assert np.array_equal(g, p.store[name].grad), name
+
+
+@pytest.mark.parametrize("epochs", [1, 3])
+def test_train_predictor_equals_the_tape_loop(epochs):
+    # ramp_epochs=1: epoch 0 is teacher forced, later epochs self-fed
+    windows = make_windows(11, 16, seed=32)
+    kwargs = dict(epochs=epochs, lr=3e-3, seed=3, batch=4, observed=6,
+                  ramp_epochs=1)
+    p, curve = tj.train_predictor(windows, **kwargs)
+    oracle, oracle_curve = tape_train_predictor(windows, **kwargs)
+    assert curve == oracle_curve
+    for name in tj._GRU_NAMES:
+        assert np.array_equal(p.store[name].values, oracle.store[name].values), name
+
+
+def test_batch_gradients_match_central_differences():
+    p, obs, future = training_batch(33, b=4, frames=14, observed=6)
+    # an undamped output head gives every weight a gradient well above the
+    # differences' rounding error
+    p.store["out/w"].values *= 50
+    use_self = np.random.default_rng(34).random((future.shape[1], 4)) < 0.5
+    w = [p.store[n].values for n in tj._GRU_NAMES]
+    grads = tj._batch_backward(w, tj._batch_forward(w, obs, future, use_self)[1])
+    rng = np.random.default_rng(35)
+    step = 1e-6
+    for _ in range(8):
+        i = int(rng.integers(len(w)))
+        j = int(rng.integers(w[i].size))
+        flat = w[i].reshape(-1)
+        orig = flat[j]
+        flat[j] = orig + step
+        up = tj._batch_forward(w, obs, future, use_self)[0]
+        flat[j] = orig - step
+        down = tj._batch_forward(w, obs, future, use_self)[0]
+        flat[j] = orig
+        numeric = (up - down) / (2 * step)
+        assert grads[i].reshape(-1)[j] == pytest.approx(numeric, rel=1e-5, abs=1e-10), \
+            (tj._GRU_NAMES[i], j)
+
+
 def test_train_predictor_reduces_loss():
     # ramp_epochs=1 makes every epoch after the first fully self-fed, so
     # the per-epoch losses are comparable from epoch 1 on
@@ -353,6 +514,11 @@ def test_train_predictor_deterministic():
 def test_train_predictor_rejects_bad_shapes():
     with pytest.raises(tj.TrajoptError):
         tj.train_predictor(np.zeros((4, 10, 7)), epochs=1)
+
+
+def test_train_predictor_rejects_windows_without_a_horizon():
+    with pytest.raises(tj.TrajoptError):
+        tj.train_predictor(make_windows(4, 6, seed=13), epochs=1, observed=6)
 
 
 def test_train_predictor_aborts_on_nan():
