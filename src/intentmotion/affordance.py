@@ -38,6 +38,7 @@ TRAJ_DIM = 20 * 14 * 3  # 20 frames x (13 joints + held object) x 3
 ENC_MAP = 6 * 6 * 16  # flattened conv map before the latent projection
 ENC_DIM = 32
 PLACE_VARIANTS = ("plain", "penalty", "transfer", "transfer-penalty", "no-cnn")
+TRANSFER_VARIANTS = ("transfer", "transfer-penalty")  # frozen pre-trained encoder
 MDN_COMPONENTS = 7
 TRUNK_WIDTH = 128
 DEFAULT_PENALTY_WEIGHT = 1.0
@@ -199,7 +200,8 @@ def encoder_conv_map(store, features):
     """
     features = np.asarray(features).reshape(-1, 24, 24, 4)
     n = CONV_MAP_CHUNK
-    return np.concatenate([_conv_map(store, features[lo:lo + n]).values
+    return np.concatenate([np.empty((0, ENC_MAP))] +
+                          [_conv_map(store, features[lo:lo + n]).values
                            for lo in range(0, len(features), n)])
 
 
@@ -240,7 +242,7 @@ def assemble_placeability(variant, encoder_store=None, seed=0):
     rng = np.random.default_rng(seed)
     store = ParamStore()
     n_in = TRAJ_DIM + sc.ONEHOT_DIM
-    if variant in ("transfer", "transfer-penalty"):
+    if variant in TRANSFER_VARIANTS:
         if encoder_store is None:
             raise TrainingError(f"variant {variant!r} requires a pre-trained encoder")
         check_layout(encoder_store, encoder_layout(), "encoder")
@@ -266,8 +268,8 @@ def placeability_forward(model, traj, onehot, features=None, conv_map=None):
     return _trunk(model.store, ad.concat(parts, axis=-1))
 
 
-def placeability_predict(model, traj, onehot, features=None):
-    raw = placeability_forward(model, traj, onehot, features).values
+def placeability_predict(model, traj, onehot, features=None, conv_map=None):
+    raw = placeability_forward(model, traj, onehot, features, conv_map).values
     return [dn.mdn_head(r) for r in raw]
 
 
@@ -337,7 +339,7 @@ def _fit(store, n, batch_loss, epochs, lr, seed, batch):
 
 
 def train_placeability(model, train, test, epochs, lr=1e-3, seed=0, batch=32,
-                       penalty_weight=DEFAULT_PENALTY_WEIGHT):
+                       penalty_weight=DEFAULT_PENALTY_WEIGHT, conv_maps=None):
     """Adam training; returns per-epoch train NLL curve and final metrics.
 
     Penalty variants carry the full ``penalty_weight`` from the first
@@ -350,37 +352,50 @@ def train_placeability(model, train, test, epochs, lr=1e-3, seed=0, batch=32,
 
     When no ``enc/`` parameter requires a gradient (the transfer
     variants), the encoder's conv stages run once over the training rows
-    and each batch reads its rows of that map.
+    and once over the test rows: each batch reads its rows of the
+    training map, and the final metrics read both maps.  ``conv_maps``,
+    the (train, test) pair of ``encoder_conv_map`` under this frozen
+    encoder, stands in for them, so models sharing one encoder share one
+    pair.
     """
     if len(train) == 0:
         raise TrainingError("empty training set")
-    conv_map = None
-    frozen = not any(t.requires_grad for n, t in model.store.params.items()
-                     if n.startswith("enc/"))
-    if model.uses_cnn and frozen:
-        conv_map = encoder_conv_map(model.store, train.features)
+    frozen = model.uses_cnn and not any(
+        t.requires_grad for n, t in model.store.params.items() if n.startswith("enc/"))
+    if conv_maps is not None and not frozen:
+        raise TrainingError(f"variant {model.variant!r} has no frozen encoder "
+                            "to read conv maps for")
+    if frozen and conv_maps is None:
+        conv_maps = tuple(encoder_conv_map(model.store, d.features)
+                          for d in (train, test))
+    train_map, test_map = (None, None) if conv_maps is None else conv_maps
     curve = _fit(model.store, len(train),
                  lambda idx: placeability_loss(model, train, idx, penalty_weight,
-                                               conv_map),
+                                               train_map),
                  epochs, lr, seed, batch)
-    metrics = {"train": evaluate_placeability(model, train),
-               "test": evaluate_placeability(model, test)}
+    metrics = {"train": evaluate_placeability(model, train, conv_map=train_map),
+               "test": evaluate_placeability(model, test, conv_map=test_map)}
     return curve, metrics
 
 
-def evaluate_placeability(model, data, batch=256):
+def evaluate_placeability(model, data, batch=256, conv_map=None):
     """Mean NLL and MSE (predicted placement vs ground truth) over a set.
 
     The predicted placement is the mean of the most probable mixture
     component, matching the point scored by ``valid_region_rate``; the
     full-mixture expectation is reported alongside as ``mse_expected``.
+    ``conv_map``, when given, is ``encoder_conv_map`` of all of ``data``'s
+    rows and stands in for their features in the encoder; the latent
+    projection still runs on ``batch`` rows at a time, so the metrics do
+    not change.
     """
     nll, se, se_exp = [], [], []
     for lo in range(0, len(data), batch):
-        idx = np.arange(lo, min(lo + batch, len(data)))
-        d = data.subset(idx)
-        for dist, label in zip(
-                placeability_predict(model, d.traj, d.onehot, d.features), d.label):
+        rows = slice(lo, lo + batch)
+        d = data.subset(rows)
+        dists = placeability_predict(model, d.traj, d.onehot, d.features,
+                                     None if conv_map is None else conv_map[rows])
+        for dist, label in zip(dists, d.label):
             nll.append(dn.mdn_nll(dist, label))
             point = dist.mu[dn.mdn_top_component(dist)]
             se.append(((point - label) ** 2).sum())

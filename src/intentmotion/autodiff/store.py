@@ -17,6 +17,23 @@ class OptimizerError(Exception):
     """Raised when an update step cannot be applied."""
 
 
+# Two flat buffers that every adam_step works in, grown to the largest
+# tensor updated so far.  Kept for the life of the process: buffers
+# allocated per step cost their page faults again on every step, and
+# buffers kept per store would stay with every trained model.  Each
+# tensor's update writes them before reading them, so no state passes
+# between tensors or stores; it also means two threads must not run
+# adam_step at once (the library runs on one thread).
+_SCRATCH = [np.empty(0), np.empty(0)]
+
+
+def _adam_scratch(shape):
+    size = math.prod(shape)
+    if _SCRATCH[0].size < size:
+        _SCRATCH[:] = [np.empty(size), np.empty(size)]
+    return [buf[:size].reshape(shape) for buf in _SCRATCH]
+
+
 class ParamStore:
     """Collection of named parameter tensors with per-tensor trainable flags.
 
@@ -86,9 +103,15 @@ class ParamStore:
     # optimization -----------------------------------------------------
 
     def adam_step(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        """One Adam update over trainable tensors with populated gradients."""
+        """One Adam update over trainable tensors with populated gradients.
+
+        Every gradient is checked before any tensor changes.  The update
+        runs in two shared scratch buffers, in the operation order of
+        ``m += (1 - b1) * (g - m)``, ``v += (1 - b2) * (g**2 - v)`` and
+        ``w -= lr * (m / c1) / (sqrt(v / c2) + eps)``.
+        """
         for name, t in self.params.items():
-            if t.grad is not None and not np.all(np.isfinite(t.grad)):
+            if t.grad is not None and not np.isfinite(t.grad).all():
                 raise OptimizerError(f"non-finite gradient on {name!r}")
         self._t += 1
         corr1 = 1.0 - beta1**self._t
@@ -96,11 +119,26 @@ class ParamStore:
         for name, t in self.params.items():
             if not self.trainable[name] or t.grad is None:
                 continue
-            m = self._m.setdefault(name, np.zeros_like(t.values))
-            v = self._v.setdefault(name, np.zeros_like(t.values))
-            m += (1.0 - beta1) * (t.grad - m)
-            v += (1.0 - beta2) * (t.grad**2 - v)
-            t.values -= lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
+            if name not in self._m:
+                self._m[name] = np.zeros_like(t.values)
+                self._v[name] = np.zeros_like(t.values)
+            m, v = self._m[name], self._v[name]
+            a, b = _adam_scratch(t.values.shape)
+            g = t.grad
+            np.subtract(g, m, out=a)
+            a *= 1.0 - beta1
+            m += a
+            np.square(g, out=a)
+            a -= v
+            a *= 1.0 - beta2
+            v += a
+            np.divide(m, corr1, out=a)
+            a *= lr
+            np.divide(v, corr2, out=b)
+            np.sqrt(b, out=b)
+            b += eps
+            a /= b
+            t.values -= a
 
     # checkpointing ----------------------------------------------------
     #

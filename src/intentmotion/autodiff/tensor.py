@@ -18,6 +18,8 @@ arrays passed to an operation become constants that need no gradient.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -443,14 +445,32 @@ def dense(x, w, b=None):
 # spatial ops on (N, H, W, C) tensors
 
 
+def _check_spatial(op, x):
+    if x.values.ndim != 4:
+        raise AutodiffError(f"{op}: expected an (N, H, W, C) input, got shape "
+                            f"{x.values.shape}")
+
+
 def conv2d_same(x, k):
-    """Stride-1 zero-padded convolution; kernel shape (kh, kw, Cin, Cout)."""
+    """Stride-1 zero-padded convolution; kernel shape (kh, kw, Cin, Cout)
+    with odd kh and kw.
+
+    The forward pass is one GEMM of the (N*H*W, kh*kw*Cin) im2col columns
+    with the kernel.  The input gradient scatters the column gradient
+    back by kh*kw shifted adds into a zero-padded buffer, in row-major
+    (i, j) order; each offset's (N, H, W, Cin) block is first copied to
+    one contiguous buffer, so the add reads contiguous memory without a
+    second full-size copy of the column gradient.
+    """
     x, k = _as_tensor(x), _as_tensor(k)
     if x.values.ndim != 4 or k.values.ndim != 4 or x.values.shape[3] != k.values.shape[2]:
         raise AutodiffError(
             f"conv2d_same: incompatible shapes {x.values.shape} x {k.values.shape}")
     n, h, w, cin = x.values.shape
     kh, kw, _, cout = k.values.shape
+    if kh % 2 == 0 or kw % 2 == 0:
+        raise AutodiffError(f"conv2d_same: kernel {k.values.shape} has an even "
+                            "spatial size; 'same' padding needs odd kh and kw")
     ph, pw = kh // 2, kw // 2
     xp = np.pad(x.values, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
     win = sliding_window_view(xp, (kh, kw), axis=(1, 2))  # (N,H,W,Cin,kh,kw)
@@ -465,9 +485,11 @@ def conv2d_same(x, k):
         if x.requires_grad:
             dcols = (gf @ kmat.T).reshape(n, h, w, kh, kw, cin)
             dxp = np.zeros_like(xp)
+            tap = np.empty((n, h, w, cin))
             for i in range(kh):
                 for j in range(kw):
-                    dxp[:, i:i + h, j:j + w, :] += dcols[:, :, :, i, j, :]
+                    np.copyto(tap, dcols[:, :, :, i, j, :])
+                    dxp[:, i:i + h, j:j + w, :] += tap
             x._accumulate(dxp[:, ph:ph + h, pw:pw + w, :])
 
     out._backward = bwd
@@ -475,25 +497,53 @@ def conv2d_same(x, k):
 
 
 def maxpool2(x):
-    """2x2 max pooling, stride 2; ties route to the first element row-major."""
+    """2x2 max pooling, stride 2.
+
+    Ties go to the first element of the window in row-major order, both
+    for the value (the sign of a +0/-0 tie included) and for the
+    gradient; a window holding NaN gives NaN and routes its gradient to
+    its first NaN.  The forward pass takes the four strided views q0..q3
+    of the windows and computes ``max(max(q3, q2), max(q1, q0))``: it
+    relies on ``np.maximum`` returning its second operand when the two
+    compare equal, so the earlier element always wins a tie.
+    """
     x = _as_tensor(x)
+    _check_spatial("maxpool2", x)
     n, h, w, c = x.values.shape
     if h % 2 or w % 2:
         raise AutodiffError(f"maxpool2: odd spatial dims {x.values.shape}")
     h2, w2 = h // 2, w // 2
-    xr = (x.values.reshape(n, h2, 2, w2, 2, c)
-          .transpose(0, 1, 3, 5, 2, 4)
-          .reshape(n, h2, w2, c, 4))
-    idx = np.argmax(xr, axis=-1)
-    out = Tensor(np.take_along_axis(xr, idx[..., None], axis=-1)[..., 0],
-                 (x,), "maxpool2")
+    xr = x.values.reshape(n * h2, 2, w2, 2, c)
+    y = np.maximum(np.maximum(xr[:, 1, :, 1], xr[:, 1, :, 0]),
+                   np.maximum(xr[:, 0, :, 1], xr[:, 0, :, 0]))
+    out = Tensor(y.reshape(n, h2, w2, c), (x,), "maxpool2")
+
+    def paired(v):
+        # (n*h2, w2, c) -> (n*h2, 1, w2*2*c): each value twice along the
+        # window's column axis, so that comparing it with the (n*h2, 2,
+        # w2*2*c) rows of x runs over contiguous memory
+        return np.repeat(v.reshape(n * h2, w2, 1, c), 2, axis=2).reshape(
+            n * h2, 1, w2 * 2 * c)
 
     def bwd(g):
-        gr = np.zeros_like(xr)
-        np.put_along_axis(gr, idx[..., None], g[..., None], axis=-1)
-        x._accumulate(gr.reshape(n, h2, w2, c, 2, 2)
-                      .transpose(0, 1, 4, 2, 5, 3)
-                      .reshape(n, h, w, c))
+        hit = x.values.reshape(n * h2, 2, w2 * 2 * c) == paired(y)
+        if np.isnan(y).any():
+            # NaN equals nothing, so a NaN window's hits are its NaNs
+            hit |= np.isnan(x.values).reshape(hit.shape)
+        # keep each window's first hit in row-major order; the c flags of
+        # one window position are adjacent bytes of 0 or 1, which &, | and
+        # ~ treat bytewise, so they are handled as whole unsigned words
+        e = hit.reshape(xr.shape).view(f"u{math.gcd(c, 8)}")
+        e[:, 0, :, 1] &= ~e[:, 0, :, 0]
+        row0 = e[:, 0, :, 0] | e[:, 0, :, 1]
+        e[:, 1, :, 0] &= ~row0
+        e[:, 1, :, 1] &= ~(row0 | e[:, 1, :, 0])
+        # g where hit, +0.0 elsewhere: +0.0 is the all-zero bit pattern,
+        # so masking g's bits with all-ones or all-zeros selects exactly
+        bits = hit.astype(np.uint64)
+        np.negative(bits, out=bits)
+        bits &= paired(g).view(np.uint64)
+        x._accumulate(bits.view(np.float64).reshape(n, h, w, c))
 
     out._backward = bwd
     return out
@@ -501,6 +551,7 @@ def maxpool2(x):
 
 def upsample2_nearest(x):
     x = _as_tensor(x)
+    _check_spatial("upsample2_nearest", x)
     n, h, w, c = x.values.shape
     out = Tensor(x.values.repeat(2, axis=1).repeat(2, axis=2), (x,), "upsample2")
 

@@ -66,14 +66,18 @@ def train_autoencoder(config, train_eps):
     return store, curve
 
 
-def train_place_variant(config, variant, train_set, test_set, encoder_store):
-    enc = encoder_store if variant in ("transfer", "transfer-penalty") else None
+def train_place_variant(config, variant, train_set, test_set, encoder_store,
+                        conv_maps=None):
+    """Assemble and train one placeability variant.  ``conv_maps`` is the
+    (train, test) ``encoder_conv_map`` pair of ``encoder_store``, for the
+    transfer variants only."""
+    enc = encoder_store if variant in af.TRANSFER_VARIANTS else None
     model = af.assemble_placeability(variant, encoder_store=enc,
                                      seed=config.seed)
     curve, metrics = af.train_placeability(
         model, train_set, test_set, epochs=config.place_epochs,
         lr=config.place_lr, seed=config.seed,
-        penalty_weight=config.penalty_weight)
+        penalty_weight=config.penalty_weight, conv_maps=conv_maps)
     return model, curve, metrics
 
 
@@ -97,13 +101,22 @@ def train_all(config, train_eps, test_eps, progress=None):
 
     place_train, _ = ds.extract_training_pairs(train_eps, "placeability")
     place_test, _ = ds.extract_training_pairs(test_eps, "placeability")
+    # the frozen encoder's conv maps of both splits, made for the first
+    # transfer variant, shared by both and dropped once all are trained
+    enc_maps = None
     for variant in af.PLACE_VARIANTS:
         note(f"training placeability variant {variant}")
+        transfer = variant in af.TRANSFER_VARIANTS
+        if transfer and enc_maps is None:
+            enc_maps = tuple(af.encoder_conv_map(bundle.encoder_store, d.features)
+                             for d in (place_train, place_test))
         model, curve, metrics = train_place_variant(
-            config, variant, place_train, place_test, bundle.encoder_store)
+            config, variant, place_train, place_test, bundle.encoder_store,
+            enc_maps if transfer else None)
         bundle.place_models[variant] = model
         bundle.place_metrics[variant] = metrics
         bundle.curves[f"place/{variant}"] = curve
+    del enc_maps
 
     grasp_train, _ = ds.extract_training_pairs(train_eps, "graspability")
     grasp_test, _ = ds.extract_training_pairs(test_eps, "graspability")

@@ -627,3 +627,44 @@ def test_data_leaves_and_frozen_params_end_without_grad(monkeypatch):
     assert leaves and all(t.grad is None and not t.requires_grad for t in leaves)
     for n, t in model.store.params.items():
         assert (t.grad is None) == n.startswith("enc/")
+
+
+@pytest.mark.parametrize("variant", ["transfer", "plain"])
+def test_evaluate_with_conv_map_equals_features(variant):
+    # more rows than one 256-row evaluation batch, so the map is sliced
+    data = varied_place_set(300, seed=27)
+    model = af.assemble_placeability(variant, encoder_store=af.build_autoencoder(12),
+                                     seed=13)
+    conv_map = af.encoder_conv_map(model.store, data.features)
+    with_map = af.evaluate_placeability(model, data, conv_map=conv_map)
+    assert with_map == af.evaluate_placeability(model, data)
+    assert with_map == af.evaluate_placeability(model, data, batch=256,
+                                                conv_map=conv_map)
+
+
+def test_shared_conv_maps_give_identical_training():
+    train, test = varied_place_set(40, seed=28), varied_place_set(20, seed=29)
+    enc = af.build_autoencoder(14)
+    maps = tuple(af.encoder_conv_map(enc, d.features) for d in (train, test))
+    runs = []
+    for conv_maps in (None, maps):
+        model = af.assemble_placeability("transfer-penalty", encoder_store=enc,
+                                         seed=15)
+        curve, metrics = af.train_placeability(model, train, test, epochs=2,
+                                               seed=1, conv_maps=conv_maps)
+        runs.append((curve, metrics, [t.values.tobytes()
+                                      for t in model.store.params.values()]))
+    assert runs[0] == runs[1]
+
+
+def test_conv_maps_need_a_frozen_encoder():
+    data = make_place_set(8)
+    model = af.assemble_placeability("plain", seed=0)
+    maps = (np.zeros((8, af.ENC_MAP)), np.zeros((8, af.ENC_MAP)))
+    with pytest.raises(af.TrainingError, match="no frozen encoder"):
+        af.train_placeability(model, data, data, epochs=1, conv_maps=maps)
+
+
+def test_conv_map_of_no_rows_is_empty():
+    store = af.build_autoencoder(0)
+    assert af.encoder_conv_map(store, np.zeros((0, 24, 24, 4))).shape == (0, af.ENC_MAP)

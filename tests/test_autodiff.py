@@ -2,6 +2,7 @@ import struct
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from intentmotion import autodiff as ad
 from intentmotion.autodiff import ParamStore, Tensor, backward, grad_check
@@ -51,6 +52,18 @@ class TestForwardPrimitives:
             ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
         with pytest.raises(ad.AutodiffError, match="add"):
             ad.add(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
+
+    @pytest.mark.parametrize("op, args, match", [
+        (ad.conv2d_same, (np.zeros((1, 5, 5, 2)), np.zeros((2, 2, 2, 3))),
+         "even spatial size"),
+        (ad.conv2d_same, (np.zeros((1, 5, 5, 2)), np.zeros((3, 2, 2, 3))),
+         "even spatial size"),
+        (ad.maxpool2, (np.zeros((4, 4, 2)),), r"\(N, H, W, C\)"),
+        (ad.upsample2_nearest, (np.zeros((4, 4, 2)),), r"\(N, H, W, C\)"),
+    ], ids=["conv-even-kernel", "conv-even-width", "maxpool-3d", "upsample-3d"])
+    def test_malformed_spatial_input_raises(self, op, args, match):
+        with pytest.raises(ad.AutodiffError, match=match):
+            op(*(Tensor(a) for a in args))
 
 
 class TestBackward:
@@ -328,6 +341,150 @@ class TestRequiresGrad:
         assert w.grad is None
         backward(ad.sum_sq(ad.mul(w, f)))
         assert w.grad is None
+
+
+
+# ---------------------------------------------------------------------------
+# the CNN kernels against the formulas they replaced, bit for bit
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+def maxpool2_oracle(x, g):
+    """Value and input gradient of the argmax-based 2x2 max pool."""
+    n, h, w, c = x.shape
+    h2, w2 = h // 2, w // 2
+    xr = (x.reshape(n, h2, 2, w2, 2, c).transpose(0, 1, 3, 5, 2, 4)
+          .reshape(n, h2, w2, c, 4))
+    idx = np.argmax(xr, axis=-1)
+    y = np.take_along_axis(xr, idx[..., None], axis=-1)[..., 0]
+    gr = np.zeros_like(xr)
+    np.put_along_axis(gr, idx[..., None], g[..., None], axis=-1)
+    dx = gr.reshape(n, h2, w2, c, 2, 2).transpose(0, 1, 4, 2, 5, 3).reshape(n, h, w, c)
+    return y, dx
+
+
+def conv_backward_oracle(x, k, g):
+    """(dx, dk) of the stride-1 'same' convolution, by the per-offset
+    scatter from the (N, H, W, kh, kw, Cin) column gradient."""
+    n, h, w, cin = x.shape
+    kh, kw, _, cout = k.shape
+    ph, pw = kh // 2, kw // 2
+    xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    cols = win.transpose(0, 1, 2, 4, 5, 3).reshape(n * h * w, kh * kw * cin)
+    gf = g.reshape(n * h * w, cout)
+    dk = (cols.T @ gf).reshape(k.shape)
+    dcols = (gf @ k.reshape(-1, cout).T).reshape(n, h, w, kh, kw, cin)
+    dxp = np.zeros_like(xp)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, i:i + h, j:j + w, :] += dcols[:, :, :, i, j, :]
+    return dxp[:, ph:ph + h, pw:pw + w, :], dk
+
+
+def adam_oracle(store, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One Adam step written with a temporary per operation."""
+    store._t += 1
+    corr1 = 1.0 - beta1**store._t
+    corr2 = 1.0 - beta2**store._t
+    for name, t in store.params.items():
+        if not store.trainable[name] or t.grad is None:
+            continue
+        m = store._m.setdefault(name, np.zeros_like(t.values))
+        v = store._v.setdefault(name, np.zeros_like(t.values))
+        m += (1.0 - beta1) * (t.grad - m)
+        v += (1.0 - beta2) * (t.grad**2 - v)
+        t.values -= lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
+
+
+def tied_pool_input(seed):
+    """(3, 8, 6, 5) input with ReLU zeros, +0/-0 ties in both orders and
+    in either row, equal positive maxima, NaN windows and -inf windows."""
+    rng = np.random.default_rng(seed)
+    x = np.maximum(rng.normal(size=(3, 8, 6, 5)), 0.0)
+    x[0, 0:2, 0:2, 0] = [[0.0, -0.0], [-0.0, 0.0]]
+    x[0, 0:2, 2:4, 0] = [[-0.0, 0.0], [0.0, -0.0]]
+    x[0, 2:4, 0:2, 1] = [[-1.0, -0.0], [0.0, -2.0]]
+    x[1, 0:2, 0:2, 2] = [[0.5, 0.7], [0.7, 0.7]]
+    x[1, 2:4, 2:4, 3] = [[0.5, 0.2], [np.nan, 0.9]]
+    x[2, 4:6, 4:6, 4] = [[np.nan, 1.0], [2.0, np.nan]]
+    x[2, 6:8, 0:2, 0] = -np.inf
+    # a signed-zero tie inside each row of a window, the other row lower
+    x[2, 0:2, 0:2, 1] = [[-0.0, 0.0], [-1.0, -1.0]]
+    x[2, 0:2, 2:4, 1] = [[-1.0, -1.0], [-0.0, 0.0]]
+    x[2, 0:2, 4:6, 1] = [[-1.0, -1.0], [0.0, -0.0]]
+    return x
+
+
+class TestKernelOracles:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_maxpool2_matches_argmax_oracle(self, seed):
+        xv = tied_pool_input(seed)
+        g = np.random.default_rng(seed + 10).normal(size=(3, 4, 3, 5))
+        g[0, 0, 0, 0] = g[0, 0, 1, 0] = g[1, 1, 1, 3] = -0.0
+        y_ref, dx_ref = maxpool2_oracle(xv, g)
+        x = Tensor(xv)
+        out = ad.maxpool2(x)
+        assert bits(out.values) == bits(y_ref)
+        out._backward(g)
+        assert bits(x.grad) == bits(dx_ref + 0.0)
+        # accumulating onto -0.0 keeps each routed term's sign visible
+        x.grad = np.full(xv.shape, -0.0)
+        out._backward(g)
+        assert bits(x.grad) == bits(np.full(xv.shape, -0.0) + dx_ref)
+
+    @pytest.mark.parametrize("kshape", [(3, 3, 8, 16), (3, 3, 16, 16),
+                                        (5, 3, 8, 4)])
+    def test_conv_backward_matches_scatter_oracle(self, kshape):
+        rng = np.random.default_rng(kshape[2])
+        xv = rng.normal(size=(4, 12, 10, kshape[2]))
+        kv = rng.normal(size=kshape)
+        g = rng.normal(size=(4, 12, 10, kshape[3]))
+        dx_ref, dk_ref = conv_backward_oracle(xv, kv, g)
+        x, k = Tensor(xv), Tensor(kv)
+        ad.conv2d_same(x, k)._backward(g)
+        assert bits(x.grad) == bits(dx_ref + 0.0)
+        assert bits(k.grad) == bits(dk_ref + 0.0)
+
+    def test_adam_step_matches_oracle(self):
+        rng = np.random.default_rng(3)
+        stores = []
+        for _ in range(2):
+            store = ParamStore()
+            r = np.random.default_rng(4)
+            store.add("a", r.normal(size=(5, 3)))
+            store.add("frozen", r.normal(size=4), trainable=False)
+            store.add("no-grad", r.normal(size=3))
+            store.add("b", r.normal(size=(2, 2, 3)))
+            stores.append(store)
+        for step in range(3):
+            grads = {"a": rng.normal(size=(5, 3)), "frozen": rng.normal(size=4),
+                     "b": rng.normal(size=(2, 2, 3)) * 10.0 ** step}
+            grads["a"][0, 0] = -0.0
+            for store in stores:
+                for name, gv in grads.items():
+                    store[name].grad = gv.copy()
+            stores[0].adam_step(lr=0.01)
+            adam_oracle(stores[1], lr=0.01)
+            for name in stores[0].names():
+                assert bits(stores[0][name].values) == bits(stores[1][name].values)
+            for name in ("a", "b"):
+                assert bits(stores[0]._m[name]) == bits(stores[1]._m[name])
+                assert bits(stores[0]._v[name]) == bits(stores[1]._v[name])
+        assert "frozen" not in stores[0]._m and "no-grad" not in stores[0]._m
+
+    def test_adam_checks_every_gradient_before_updating(self):
+        store = ParamStore()
+        a = store.add("a", np.ones(3))
+        b = store.add("b", np.ones(2))
+        a.grad = np.ones(3)
+        b.grad = np.array([0.0, np.inf])
+        with pytest.raises(ad.OptimizerError, match="'b'"):
+            store.adam_step(lr=0.1)
+        assert bits(a.values) == bits(np.ones(3)) and store._t == 0
 
 
 def checkpoint_bytes(*records):
