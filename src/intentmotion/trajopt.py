@@ -16,7 +16,10 @@ the point itself.
 The optimizer and predictor training run on plain numpy.  For the
 optimizer, ``warm_start`` runs the observed frames once per problem,
 ``rollout`` steps the cell over the horizon and ``rollout_adjoint``
-back-propagates through time to d(loss)/d(controls).  Training runs a
+back-propagates through time to d(loss)/d(controls).  The objective
+hands L-BFGS its gradient as a function over the kept rollout steps; the
+line search judges trial points by value alone, so the adjoint runs only
+at the start and at each accepted step.  Training runs a
 batch of windows forward with scheduled sampling (``_batch_forward``) and
 back through time to the gradient of every parameter
 (``_batch_backward``).  Both backward passes go through one cell adjoint,
@@ -190,11 +193,21 @@ def _np_sigmoid(a):
 
 
 def _np_gru_step(w, x, h):
-    """One cell step on arrays: (h_new, z, r, c)."""
+    """One cell step on arrays: (h_new, z, r, c).
+
+    The update and reset pre-activations share one (B, 2H) buffer, so one
+    sigmoid covers both gates; ``z`` and ``r`` are views of its halves.
+    ``np.dot`` makes the same BLAS call as ``@`` on these 2-D operands
+    without the gufunc dispatch.
+    """
     wz, uz, bz, wr, ur, br, wh, uh, bh = w[:9]
-    z = _np_sigmoid(x @ wz + h @ uz + bz)
-    r = _np_sigmoid(x @ wr + h @ ur + br)
-    c = np.tanh(x @ wh + (r * h) @ uh + bh)
+    n = uz.shape[0]
+    zr = np.empty((x.shape[0], 2 * n))
+    np.add(np.dot(x, wz) + np.dot(h, uz), bz, out=zr[:, :n])
+    np.add(np.dot(x, wr) + np.dot(h, ur), br, out=zr[:, n:])
+    zr = _np_sigmoid(zr)
+    z, r = zr[:, :n], zr[:, n:]
+    c = np.tanh(np.dot(x, wh) + np.dot(r * h, uh) + bh)
     return (1.0 - z) * h + z * c, z, r, c
 
 
@@ -219,6 +232,9 @@ def rollout(predictor, start, delta):
 
     Returns (states, steps); ``steps`` holds each step's previous hidden
     state and gate activations (h, z, r, c) for ``rollout_adjoint``.
+    The states are checked once, after the loop: a non-finite state runs
+    on through the remaining steps with floating-point warnings silenced,
+    and the error names the first step whose state is not finite.
     """
     w = [predictor.store[n].values for n in _GRU_NAMES]
     out_w, out_b = w[9], w[10]
@@ -226,15 +242,18 @@ def rollout(predictor, start, delta):
     delta = np.asarray(delta, dtype=float)
     states = np.empty((delta.shape[0], predictor.state_dim))
     steps = []
-    for k in range(delta.shape[0]):
-        x = np.concatenate([s, v], axis=-1)
-        h_new, z, r, c = _np_gru_step(w, x, h)
-        s_next = s + (h_new @ out_w + out_b) + delta[k:k + 1]
-        if not np.isfinite(s_next).all():
-            raise TrajoptError(f"non-finite state at prediction step {k}")
-        steps.append((h, z, r, c))
-        h, v, s = h_new, s_next - s, s_next
-        states[k] = s[0]
+    with np.errstate(all="ignore"):
+        for k in range(delta.shape[0]):
+            x = np.concatenate([s, v], axis=-1)
+            h_new, z, r, c = _np_gru_step(w, x, h)
+            s_next = s + (np.dot(h_new, out_w) + out_b) + delta[k:k + 1]
+            steps.append((h, z, r, c))
+            h, v, s = h_new, s_next - s, s_next
+            states[k] = s[0]
+    finite = np.isfinite(states).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise TrajoptError(f"non-finite state at prediction step {k}")
     return states, steps
 
 
@@ -252,13 +271,15 @@ def _cell_adjoint(w, step, g_new, with_x=True):
     wz, uz, _, wr, ur, _, wh, uh, _ = w[:9]
     h, z, r, c = step
     # h_new = (1 - z) * h + z * c
-    g_z = (g_new * c - g_new * h) * z * (1.0 - z)
+    one_minus_z = 1.0 - z
+    g_z = (g_new * c - g_new * h) * z * one_minus_z
     g_c = g_new * z * (1.0 - c**2)
-    g_rh = g_c @ uh.T
+    g_rh = np.dot(g_c, uh.T)
     g_r = g_rh * h * r * (1.0 - r)
-    g_x = g_z @ wz.T + g_c @ wh.T + g_r @ wr.T if with_x else None
-    g_h = g_new * (1.0 - z) + g_z @ uz.T + g_rh * r
-    return (g_z, g_r, g_c), g_x, g_h, g_r @ ur.T
+    g_x = (np.dot(g_z, wz.T) + np.dot(g_c, wh.T) + np.dot(g_r, wr.T)
+           if with_x else None)
+    g_h = g_new * one_minus_z + np.dot(g_z, uz.T) + g_rh * r
+    return (g_z, g_r, g_c), g_x, g_h, np.dot(g_r, ur.T)
 
 
 def rollout_adjoint(predictor, steps, grad_states):
@@ -281,7 +302,7 @@ def rollout_adjoint(predictor, steps, grad_states):
         # s_next = s + residual + delta[k] and v_next = s_next - s
         g_next = gs + gv + grad_states[k:k + 1]
         grad[k] = g_next[0]
-        g_out = g_next @ out_w.T
+        g_out = np.dot(g_next, out_w.T)
         g_new = g_out if g_h is None else g_h + g_out + g_hr
         _, g_x, g_h, g_hr = _cell_adjoint(w, steps[k], g_new)
         gs = g_next - gv + g_x[:, :d]
@@ -290,38 +311,62 @@ def rollout_adjoint(predictor, steps, grad_states):
 
 
 def goal_objective(predictor, start, delta, target, alpha1=1.0, alpha2=10.0,
-                   wrist_index=sc.R_WRIST):
+                   wrist_index=sc.R_WRIST, deferred=False):
     """alpha1 * c_lowlevel + alpha2 * c_goalset from a warm start, its
     gradient with respect to the controls, and the rolled-out states:
-    (value, (horizon, D) array, (horizon, D) states)."""
+    (value, (horizon, D) array, (horizon, D) states).
+
+    With ``deferred`` the gradient comes as a zero-argument function that
+    runs ``rollout_adjoint`` over the kept rollout steps when called, so a
+    caller that needs only the value (a rejected line-search trial) skips
+    the backward pass.  Both forms give the same bits.
+    """
     traj, steps = rollout(predictor, start, delta)
     lo = 3 * wrist_index
     miss = traj[-1, lo:lo + 3] - target
     value = np.sum(delta * delta) * alpha1 + np.sum(miss * miss) * alpha2
-    grad_traj = np.zeros_like(traj)
-    grad_traj[-1, lo:lo + 3] = 2.0 * alpha2 * miss
-    grad = rollout_adjoint(predictor, steps, grad_traj)
-    return float(value), grad + 2.0 * alpha1 * delta, traj
+
+    def gradient():
+        grad_traj = np.zeros_like(traj)
+        grad_traj[-1, lo:lo + 3] = 2.0 * alpha2 * miss
+        grad = rollout_adjoint(predictor, steps, grad_traj)
+        return grad + 2.0 * alpha1 * delta
+
+    return float(value), gradient if deferred else gradient(), traj
 
 
 # ---------------------------------------------------------------------------
 # L-BFGS with two-loop recursion and Armijo backtracking
 
 
+def _gradient(g):
+    """An objective's gradient: the array itself, or the array a deferred
+    gradient function returns."""
+    return g() if callable(g) else g
+
+
 def lbfgs_minimize(objective, x0, memory=10, max_iters=100, tol=1e-6,
                    armijo_c1=1e-4, shrink=0.5, max_backtracks=30):
     """Minimize a differentiable objective over a flat vector.
 
-    ``objective(x) -> (value, gradient)``.  Returns (x_best, history)
-    where history carries the monotone objective sequence, iteration
-    count, and a status flag ("converged", "max_iters",
+    ``objective(x) -> (value, gradient)``.  The gradient is an array or a
+    zero-argument function returning it.  The backtracking line search
+    needs only the value at a trial point, so a function is called only
+    at the starting point and at each accepted step, never at a rejected
+    trial.  Both forms give the same iterates.
+
+    Returns (x_best, history) where history carries the monotone
+    objective sequence, iteration count, the number of objective calls
+    ("evaluations"), and a status flag ("converged", "max_iters",
     "line_search_failure").
     """
     x = np.asarray(x0, dtype=float).copy()
     f, g = objective(x)
+    evaluations = 1
     if not np.isfinite(f):
         raise TrajoptError("non-finite objective at the starting point")
-    s_hist, y_hist = [], []
+    g = _gradient(g)
+    pairs = []  # (s, y, 1 / (y . s)) of the kept curvature pairs, oldest first
     values = [float(f)]
     status = "max_iters"
     iters = 0
@@ -333,28 +378,27 @@ def lbfgs_minimize(objective, x0, memory=10, max_iters=100, tol=1e-6,
         # two-loop recursion
         q = g.copy()
         alphas = []
-        for s, y in zip(reversed(s_hist), reversed(y_hist)):
-            rho = 1.0 / (y @ s)
+        for s, y, rho in reversed(pairs):
             a = rho * (s @ q)
             alphas.append(a)
             q -= a * y
-        if s_hist:
-            s, y = s_hist[-1], y_hist[-1]
+        if pairs:
+            s, y, _ = pairs[-1]
             q *= (s @ y) / (y @ y)
-        for (s, y), a in zip(zip(s_hist, y_hist), reversed(alphas)):
-            rho = 1.0 / (y @ s)
+        for (s, y, rho), a in zip(pairs, reversed(alphas)):
             b = rho * (y @ q)
             q += (a - b) * s
         d = -q
         if d @ g >= 0:  # fall back to steepest descent on a bad direction
             d = -g
-            s_hist, y_hist = [], []
+            pairs = []
         # backtracking line search (Armijo)
         t = 1.0
         gd = g @ d
         accepted = False
         for _ in range(max_backtracks):
             f_new, g_new = objective(x + t * d)
+            evaluations += 1
             if np.isfinite(f_new) and f_new <= f + armijo_c1 * t * gd:
                 accepted = True
                 break
@@ -362,27 +406,27 @@ def lbfgs_minimize(objective, x0, memory=10, max_iters=100, tol=1e-6,
         if not accepted:
             status = "line_search_failure"
             break
+        g_new = _gradient(g_new)
         step = t * d
         x_new = x + step
         y_vec = g_new - g
         curv = step @ y_vec
         if curv > 1e-10 * np.linalg.norm(step) * np.linalg.norm(y_vec):
-            s_hist.append(step)
-            y_hist.append(y_vec)
-            if len(s_hist) > memory:
-                s_hist.pop(0)
-                y_hist.pop(0)
+            pairs.append((step, y_vec, 1.0 / (y_vec @ step)))
+            if len(pairs) > memory:
+                pairs.pop(0)
         else:
             # negative curvature: the quasi-Newton model is unusable, so
             # restart from steepest descent instead of creeping on it
-            s_hist, y_hist = [], []
+            pairs = []
         x, f, g = x_new, f_new, g_new
         values.append(float(f))
     else:
         iters = max_iters
     if status == "max_iters" and np.max(np.abs(g)) < tol:
         status = "converged"
-    return x, {"values": values, "iterations": iters, "status": status}
+    return x, {"values": values, "iterations": iters, "status": status,
+               "evaluations": evaluations}
 
 
 def predict_fullbody(predictor, observed, goal, goal_mode="place", alpha1=1.0,
@@ -407,10 +451,13 @@ def predict_fullbody(predictor, observed, goal, goal_mode="place", alpha1=1.0,
     last = {}  # the last evaluated controls and their rollout
 
     def objective(x):
+        # deferred=True, passed by position: L-BFGS runs the adjoint only
+        # at the points it accepts
         value, grad, last["traj"] = goal_objective(
-            predictor, start, x.reshape(shape), target, alpha1, alpha2, wrist_index)
+            predictor, start, x.reshape(shape), target, alpha1, alpha2,
+            wrist_index, True)
         last["x"] = x.tobytes()
-        return value, grad.ravel()
+        return value, lambda: grad().ravel()
 
     x_star, history = lbfgs_minimize(objective, np.zeros(shape).ravel(),
                                      max_iters=max_iters, tol=tol)
@@ -424,6 +471,7 @@ def predict_fullbody(predictor, observed, goal, goal_mode="place", alpha1=1.0,
                    "goal_distance": final_goal_dist,
                    "delta_norm": float(np.linalg.norm(delta_star)),
                    "iterations": history["iterations"],
+                   "evaluations": history["evaluations"],
                    "status": history["status"],
                    "objective": history["values"]}
     return traj, delta_star, diagnostics

@@ -1,5 +1,7 @@
 """Tests for the recurrent predictor and goal-constrained optimizer."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -245,6 +247,46 @@ def test_predict_fullbody_rejects_nonfinite_observation():
         tj.predict_fullbody(p, obs, [0.3, 0.2, 0.6])
 
 
+def test_predict_fullbody_runs_the_adjoint_only_at_accepted_points(monkeypatch):
+    p, obs, _, _ = kernel_case({}, 25)
+    calls = {"adjoint": 0, "objective": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(tj, "rollout_adjoint", counted("adjoint", tj.rollout_adjoint))
+    monkeypatch.setattr(tj, "goal_objective", counted("objective", tj.goal_objective))
+    _, _, diag = tj.predict_fullbody(p, obs, [0.3, 0.2, 0.6], max_iters=15)
+    assert diag["status"] != "line_search_failure"
+    # one gradient at the start and one per accepted step
+    assert calls["adjoint"] == diag["iterations"] + 1 == len(diag["objective"])
+    assert calls["objective"] == diag["evaluations"]
+    # the problem has rejected line-search trials, which skip the adjoint
+    assert diag["evaluations"] > diag["iterations"] + 1
+
+
+def test_rollout_names_the_first_nonfinite_step_without_warnings():
+    p, obs, delta, _ = kernel_case({}, 28)
+    start = tj.warm_start(p, obs)
+    delta[7, 4] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(tj.TrajoptError, match="prediction step 7$"):
+            tj.rollout(p, start, delta)
+        with pytest.raises(tj.TrajoptError, match="prediction step 7$"):
+            tj.goal_objective(p, start, delta, np.zeros(3))
+    # the tape reference stops at the same step
+    with pytest.raises(tj.TrajoptError, match="prediction step 7$"):
+        tj.unroll(p, obs, delta)
+    bad_obs = obs.copy()
+    bad_obs[-1, 3] = np.nan
+    with pytest.raises(tj.TrajoptError, match="prediction step 0$"):
+        tj.rollout(p, tj.warm_start(p, bad_obs), np.zeros_like(delta))
+
+
 # ---------------------------------------------------------------------------
 # L-BFGS
 
@@ -276,14 +318,15 @@ def test_lbfgs_general_quadratic():
     assert np.allclose(x, solution, atol=1e-5)
 
 
-def test_lbfgs_rosenbrock():
-    def f(x):
-        v = 100 * (x[1] - x[0] ** 2) ** 2 + (1 - x[0]) ** 2
-        g = np.array([-400 * x[0] * (x[1] - x[0] ** 2) - 2 * (1 - x[0]),
-                      200 * (x[1] - x[0] ** 2)])
-        return v, g
+def rosenbrock(x):
+    v = 100 * (x[1] - x[0] ** 2) ** 2 + (1 - x[0]) ** 2
+    g = np.array([-400 * x[0] * (x[1] - x[0] ** 2) - 2 * (1 - x[0]),
+                  200 * (x[1] - x[0] ** 2)])
+    return v, g
 
-    x, hist = tj.lbfgs_minimize(f, np.array([-1.2, 1.0]), max_iters=200)
+
+def test_lbfgs_rosenbrock():
+    x, hist = tj.lbfgs_minimize(rosenbrock, np.array([-1.2, 1.0]), max_iters=200)
     assert hist["status"] == "converged"
     assert np.allclose(x, [1.0, 1.0], atol=1e-5)
 
@@ -304,6 +347,65 @@ def test_lbfgs_line_search_failure_flag():
 
     _, hist = tj.lbfgs_minimize(f, np.array([1.0]))
     assert hist["status"] == "line_search_failure"
+
+
+def deferred(objective, calls):
+    """``objective`` with its gradient returned as a function, counting
+    the calls of that function.  ``objective`` may defer its gradient
+    itself."""
+    def f(x):
+        value, grad = objective(x)
+
+        def gradient():
+            calls.append(x.copy())
+            return grad() if callable(grad) else grad
+        return value, gradient
+    return f
+
+
+def goal_problem_objective(lazy):
+    """The objective of one ``predict_fullbody`` problem; with ``lazy``
+    its gradient is ``goal_objective``'s deferred form."""
+    p, obs, _, target = kernel_case({}, 27)
+    start = tj.warm_start(p, obs)
+    shape = (tj.HORIZON, p.state_dim)
+
+    def f(x):
+        value, grad, _ = tj.goal_objective(p, start, x.reshape(shape), target,
+                                           deferred=lazy)
+        return value, (lambda: grad().ravel()) if lazy else grad.ravel()
+    return f
+
+
+@pytest.mark.parametrize("case", ["rosenbrock", "goal"])
+def test_lbfgs_deferred_gradient_gives_the_same_bytes(case):
+    calls = []
+    if case == "rosenbrock":
+        eager, lazy = rosenbrock, deferred(rosenbrock, calls)
+        x0, iters = np.array([-1.2, 1.0]), 200
+    else:
+        eager = goal_problem_objective(False)
+        lazy = deferred(goal_problem_objective(True), calls)
+        x0, iters = np.zeros(tj.HORIZON * tj.STATE_DIM), 25
+    x_a, hist_a = tj.lbfgs_minimize(eager, x0, max_iters=iters)
+    x_d, hist_d = tj.lbfgs_minimize(lazy, x0, max_iters=iters)
+    assert x_a.tobytes() == x_d.tobytes()
+    assert np.asarray(hist_a["values"]).tobytes() == np.asarray(hist_d["values"]).tobytes()
+    assert hist_a == hist_d
+    # the gradient is asked for at the start and at each accepted point only
+    assert len(calls) == len(hist_d["values"]) < hist_d["evaluations"]
+    assert calls[-1].tobytes() == x_d.tobytes()
+
+
+def test_lbfgs_counts_objective_evaluations():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return rosenbrock(x)
+
+    _, hist = tj.lbfgs_minimize(f, np.array([-1.2, 1.0]), max_iters=200)
+    assert hist["evaluations"] == len(calls) > hist["iterations"] + 1
 
 
 def test_lbfgs_nonfinite_start_raises():
