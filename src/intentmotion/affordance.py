@@ -382,14 +382,13 @@ def evaluate_placeability(model, data, batch=256, conv_map=None):
     """Mean NLL and MSE (predicted placement vs ground truth) over a set.
 
     The predicted placement is the mean of the most probable mixture
-    component, matching the point scored by ``valid_region_rate``; the
-    full-mixture expectation is reported alongside as ``mse_expected``.
+    component, matching the point scored by ``valid_region_rate``.
     ``conv_map``, when given, is ``encoder_conv_map`` of all of ``data``'s
     rows and stands in for their features in the encoder; the latent
     projection still runs on ``batch`` rows at a time, so the metrics do
     not change.
     """
-    nll, se, se_exp = [], [], []
+    nll, se = [], []
     for lo in range(0, len(data), batch):
         rows = slice(lo, lo + batch)
         d = data.subset(rows)
@@ -399,9 +398,7 @@ def evaluate_placeability(model, data, batch=256, conv_map=None):
             nll.append(dn.mdn_nll(dist, label))
             point = dist.mu[dn.mdn_top_component(dist)]
             se.append(((point - label) ** 2).sum())
-            se_exp.append(((dn.mdn_expected(dist) - label) ** 2).sum())
-    return {"nll": float(np.mean(nll)), "mse": float(np.mean(se)),
-            "mse_expected": float(np.mean(se_exp))}
+    return {"nll": float(np.mean(nll)), "mse": float(np.mean(se))}
 
 
 # ---------------------------------------------------------------------------

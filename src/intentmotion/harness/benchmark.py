@@ -2,15 +2,19 @@
 
 `train_all` fits every model (occupancy autoencoder, five placeability
 variants, two graspability posteriors, the motion predictor) on the
-persona-split synthetic dataset.  `run_benchmark` turns a trained
-bundle into report files: placeability and graspability summary tables,
-the valid-region-rate-over-time CSV, the per-timestep motion error
-table, and pre-place density heatmaps.
+persona-split synthetic dataset, as two lanes of independent stages
+that run side by side in a forked child and this process when BLAS is
+pinned to one thread and two CPUs are free.  `run_benchmark` turns a
+trained bundle into report files: placeability and graspability summary
+tables, the valid-region-rate-over-time CSV, the per-timestep motion
+error table, and pre-place density heatmaps.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import traceback
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -89,51 +93,129 @@ def train_grasp_posterior(config, posterior, train_set, test_set):
     return model, curve, metrics
 
 
-def train_all(config, train_eps, test_eps, progress=None):
-    def note(msg):
-        if progress:
-            progress(msg)
+def _lane_a(config, train_eps, test_eps, place):
+    """autoencoder -> transfer -> transfer-penalty, then plain -> gaussian.
+    ``place`` is the (train, test) placeability pair sets; returns the
+    stages' results by curve name."""
+    encoder, curve = train_autoencoder(config, train_eps)
+    out = {"autoencoder": (encoder, curve)}
+    # the frozen encoder's conv maps of both splits, shared by both
+    # transfer variants
+    maps = tuple(af.encoder_conv_map(encoder, d.features) for d in place)
+    for variant in af.TRANSFER_VARIANTS:
+        out[f"place/{variant}"] = train_place_variant(config, variant, *place,
+                                                      encoder, maps)
+    del maps
+    out["place/plain"] = train_place_variant(config, "plain", *place, None)
+    out["grasp/gaussian"] = _grasp_stage(config, "gaussian", train_eps, test_eps)
+    return out
+
+
+def _lane_b(config, train_eps, test_eps, place):
+    """penalty -> predictor -> no-cnn -> vmf; see ``_lane_a``."""
+    out = {"place/penalty": train_place_variant(config, "penalty", *place, None)}
+    windows, _ = ds.extract_training_pairs(train_eps, "predictor")
+    out["predictor"] = tj.train_predictor(
+        windows, epochs=config.predictor_epochs, lr=config.predictor_lr,
+        seed=config.seed)
+    del windows
+    out["place/no-cnn"] = train_place_variant(config, "no-cnn", *place, None)
+    out["grasp/vmf"] = _grasp_stage(config, "vmf", train_eps, test_eps)
+    return out
+
+
+def _grasp_stage(config, posterior, train_eps, test_eps):
+    grasp_train, _ = ds.extract_training_pairs(train_eps, "graspability")
+    grasp_test, _ = ds.extract_training_pairs(test_eps, "graspability")
+    return train_grasp_posterior(config, posterior, grasp_train, grasp_test)
+
+
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _lanes_side_by_side():
+    """True when this process may use two CPUs and BLAS is pinned to one
+    thread.  A forked lane inherits the parent's BLAS configuration, so
+    either answer gives the same bits; at more BLAS threads two lanes
+    oversubscribe the cores and run slower than one."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return cpus >= 2 and all(os.environ.get(v) == "1" for v in BLAS_THREAD_VARS)
+
+
+def _child_lane(writer, args):
+    try:
+        result = ("ok", _lane_a(*args))
+    except Exception as exc:  # reported to the parent, which raises it
+        traceback.print_exc()
+        result = ("error", exc)
+    writer.send(result)
+    writer.close()
+
+
+def _forked_lanes(args):
+    """Lane A in a forked child while lane B runs here; both lanes'
+    results.  The child exits before this returns or raises.
+
+    ``fork``, not ``spawn``: a fresh interpreter spends about 0.67 s
+    importing numpy and this package, half of a small training run.
+    Forking is safe here because BLAS runs no threads at one thread.
+    """
+    ctx = multiprocessing.get_context("fork")
+    reader, writer = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_child_lane, args=(writer, args), daemon=True)
+    child.start()
+    writer.close()
+    try:
+        results = _lane_b(*args)
+        try:
+            status, payload = reader.recv()
+        except EOFError:
+            status, payload = "died", None
+    except BaseException:
+        child.terminate()
+        raise
+    finally:
+        reader.close()
+        child.join()
+    if status == "died":
+        raise af.TrainingError(f"the forked training lane exited with code "
+                               f"{child.exitcode} without sending its result")
+    if status == "error":
+        raise payload
+    return {**payload, **results}
+
+
+def train_all(config, train_eps, test_eps):
+    """Train every model; the bundle's dicts are in a fixed order.
+
+    The stages run as two lanes of independent stages (``_lane_a``,
+    ``_lane_b``).  With two CPUs and BLAS at one thread, lane A runs in a
+    forked child beside lane B; otherwise the lanes run one after the
+    other in this process.  Each stage seeds its own generator, and both
+    processes share one BLAS configuration, so both ways give the same
+    bytes.
+    """
+    place = tuple(ds.extract_training_pairs(eps, "placeability")[0]
+                  for eps in (train_eps, test_eps))
+    args = (config, train_eps, test_eps, place)
+    if _lanes_side_by_side():
+        results = _forked_lanes(args)
+    else:
+        results = {**_lane_a(*args), **_lane_b(*args)}
 
     bundle = TrainedBundle()
-    note("training occupancy autoencoder")
-    bundle.encoder_store, curve = train_autoencoder(config, train_eps)
-    bundle.curves["autoencoder"] = curve
-
-    place_train, _ = ds.extract_training_pairs(train_eps, "placeability")
-    place_test, _ = ds.extract_training_pairs(test_eps, "placeability")
-    # the frozen encoder's conv maps of both splits, made for the first
-    # transfer variant, shared by both and dropped once all are trained
-    enc_maps = None
+    bundle.encoder_store, bundle.curves["autoencoder"] = results["autoencoder"]
     for variant in af.PLACE_VARIANTS:
-        note(f"training placeability variant {variant}")
-        transfer = variant in af.TRANSFER_VARIANTS
-        if transfer and enc_maps is None:
-            enc_maps = tuple(af.encoder_conv_map(bundle.encoder_store, d.features)
-                             for d in (place_train, place_test))
-        model, curve, metrics = train_place_variant(
-            config, variant, place_train, place_test, bundle.encoder_store,
-            enc_maps if transfer else None)
+        model, curve, metrics = results[f"place/{variant}"]
         bundle.place_models[variant] = model
         bundle.place_metrics[variant] = metrics
         bundle.curves[f"place/{variant}"] = curve
-    del enc_maps
-
-    grasp_train, _ = ds.extract_training_pairs(train_eps, "graspability")
-    grasp_test, _ = ds.extract_training_pairs(test_eps, "graspability")
     for posterior in ("gaussian", "vmf"):
-        note(f"training graspability posterior {posterior}")
-        model, curve, metrics = train_grasp_posterior(
-            config, posterior, grasp_train, grasp_test)
+        model, curve, metrics = results[f"grasp/{posterior}"]
         bundle.grasp_models[posterior] = model
         bundle.grasp_metrics[posterior] = metrics
         bundle.curves[f"grasp/{posterior}"] = curve
-
-    note("training motion predictor")
-    windows, _ = ds.extract_training_pairs(train_eps, "predictor")
-    bundle.predictor, curve = tj.train_predictor(
-        windows, epochs=config.predictor_epochs, lr=config.predictor_lr,
-        seed=config.seed)
-    bundle.curves["predictor"] = curve
+    bundle.predictor, bundle.curves["predictor"] = results["predictor"]
     return bundle
 
 

@@ -215,16 +215,20 @@ def warm_start(predictor, observed):
     """(h, s, v) after the observed frames, each a (1, n) array.
 
     The observed frames do not depend on the controls, so one warm start
-    serves every rollout of a problem.
+    serves every rollout of a problem.  Each step's input [frame, velocity]
+    is written into one reused (1, 2D) buffer.
     """
     w = [predictor.store[n].values for n in _GRU_NAMES]
     obs = np.asarray(observed, dtype=float)
     h = np.zeros((1, predictor.hidden))
-    vel = np.zeros((1, obs.shape[1]))
+    x = np.zeros((1, 2 * obs.shape[1]))
+    xs, xv = np.split(x, 2, axis=1)  # views of the two halves
     for i in range(len(obs)):
-        vel = obs[i:i + 1] - obs[i - 1:i] if i > 0 else np.zeros_like(vel)
-        h = _np_gru_step(w, np.concatenate([obs[i:i + 1], vel], axis=-1), h)[0]
-    return h, obs[-1:], vel
+        xs[...] = obs[i]
+        if i > 0:
+            np.subtract(obs[i:i + 1], obs[i - 1:i], out=xv)
+        h = _np_gru_step(w, x, h)[0]
+    return h, obs[-1:], xv.copy()
 
 
 def rollout(predictor, start, delta):
@@ -234,21 +238,25 @@ def rollout(predictor, start, delta):
     state and gate activations (h, z, r, c) for ``rollout_adjoint``.
     The states are checked once, after the loop: a non-finite state runs
     on through the remaining steps with floating-point warnings silenced,
-    and the error names the first step whose state is not finite.
+    and the error names the first step whose state is not finite.  Each
+    step's input [s, s - s_prev] is written into one reused (1, 2D) buffer.
     """
     w = [predictor.store[n].values for n in _GRU_NAMES]
     out_w, out_b = w[9], w[10]
     h, s, v = start
+    x = np.concatenate([s, v], axis=-1)
+    xs, xv = np.split(x, 2, axis=1)  # views of the two halves
     delta = np.asarray(delta, dtype=float)
     states = np.empty((delta.shape[0], predictor.state_dim))
     steps = []
     with np.errstate(all="ignore"):
         for k in range(delta.shape[0]):
-            x = np.concatenate([s, v], axis=-1)
             h_new, z, r, c = _np_gru_step(w, x, h)
             s_next = s + (np.dot(h_new, out_w) + out_b) + delta[k:k + 1]
             steps.append((h, z, r, c))
-            h, v, s = h_new, s_next - s, s_next
+            xs[...] = s_next
+            np.subtract(s_next, s, out=xv)
+            h, s = h_new, s_next
             states[k] = s[0]
     finite = np.isfinite(states).all(axis=1)
     if not finite.all():
@@ -403,8 +411,9 @@ def lbfgs_minimize(objective, x0, memory=10, max_iters=100, tol=1e-6,
                 accepted = True
                 break
             t *= shrink
-        if not accepted:
+        if not accepted:  # no step taken: count accepted steps only
             status = "line_search_failure"
+            iters -= 1
             break
         g_new = _gradient(g_new)
         step = t * d

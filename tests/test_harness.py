@@ -2,6 +2,12 @@
 
 import dataclasses
 import json
+import multiprocessing
+import os
+import pathlib
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -381,3 +387,111 @@ def test_cli_smoke_pipeline(tmp_path):
     header = (report / "motion.csv").read_text().split("\n")[0]
     assert header == "method,metric,ms250,ms500,ms750,ms1000,ms1250,ms1500"
     assert (report / "heatmap_t1s.pgm").exists()
+
+
+# ---------------------------------------------------------------------------
+# train_all's two stage lanes: forked beside each other, or one after the other
+
+# Trains a small bundle and writes every model's checkpoint bytes and the
+# curves and metrics, in their dict order, to the directory argv[1].
+# With argv[2] == "serial" the process is limited to one CPU, which makes
+# train_all run its lanes in order; otherwise lane A runs in a forked
+# child.  Prints whether the lanes ran side by side and the number of
+# child processes left afterwards.
+LANE_RUN = """
+import json, multiprocessing, os, sys
+out, mode = sys.argv[1:]
+if mode == "serial":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from intentmotion.harness import benchmark as bm, generator as gen
+cfg = bm.BenchmarkConfig(seed=3, personas=2, episodes_per_persona=2,
+                         autoencoder_epochs=1, place_epochs=2, grasp_epochs=2,
+                         predictor_epochs=1)
+bundle = bm.train_all(cfg, *gen.generate_dataset(cfg.generator()))
+stores = {"encoder": bundle.encoder_store, "predictor": bundle.predictor.store}
+stores.update({"place-" + v: m.store for v, m in bundle.place_models.items()})
+stores.update({"grasp-" + p: m.store for p, m in bundle.grasp_models.items()})
+for name, store in stores.items():
+    store.save(os.path.join(out, name + ".ckpt"))
+with open(os.path.join(out, "record.json"), "w") as f:
+    json.dump([list(bundle.curves.items()), list(bundle.place_metrics.items()),
+               list(bundle.grasp_metrics.items())], f)
+print(json.dumps([bm._lanes_side_by_side(), len(multiprocessing.active_children())]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="side-by-side lanes need two CPUs")
+def test_forked_lanes_equal_serial_lanes_byte_for_byte(tmp_path):
+    src = str(pathlib.Path(bm.__file__).parents[2])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env.update({v: "1" for v in bm.BLAS_THREAD_VARS})
+    dirs = {}
+    for mode in ("serial", "forked"):
+        dirs[mode] = tmp_path / mode
+        dirs[mode].mkdir()
+        run = subprocess.run([sys.executable, "-c", LANE_RUN, str(dirs[mode]),
+                              mode], env=env, capture_output=True, text=True,
+                             timeout=600)
+        assert run.returncode == 0, run.stderr
+        side_by_side, children = json.loads(run.stdout.strip().split("\n")[-1])
+        assert side_by_side == (mode == "forked")
+        assert children == 0
+    names = sorted(p.name for p in dirs["serial"].iterdir())
+    assert names == sorted(p.name for p in dirs["forked"].iterdir())
+    assert len(names) == 10  # encoder, 5 place, 2 grasp, predictor, record
+    for name in names:
+        # checkpoints, and curves and metrics in their key order
+        assert (dirs["serial"] / name).read_bytes() == \
+            (dirs["forked"] / name).read_bytes(), name
+
+
+def lanes_forced(monkeypatch):
+    monkeypatch.setattr(bm, "_lanes_side_by_side", lambda: True)
+
+
+def tiny_bundle_config():
+    return bm.BenchmarkConfig(seed=11, personas=3, episodes_per_persona=2,
+                              autoencoder_epochs=1, place_epochs=1,
+                              grasp_epochs=1, predictor_epochs=1)
+
+
+def test_child_lane_error_reaches_parent(small_world, monkeypatch):
+    _, train, test = small_world
+    lanes_forced(monkeypatch)
+
+    def explode(config, train_eps):
+        raise af.TrainingError("autoencoder diverged in the child")
+
+    monkeypatch.setattr(bm, "train_autoencoder", explode)
+    with pytest.raises(af.TrainingError, match="autoencoder diverged in the child"):
+        bm.train_all(tiny_bundle_config(), train, test)
+    assert multiprocessing.active_children() == []
+
+
+def test_parent_lane_error_terminates_child(small_world, monkeypatch):
+    _, train, test = small_world
+    lanes_forced(monkeypatch)
+
+    def fail(*args):
+        raise af.TrainingError("parent lane failed")
+
+    monkeypatch.setattr(bm, "_lane_a", lambda *args: time.sleep(600))
+    monkeypatch.setattr(bm, "_lane_b", fail)
+    t0 = time.perf_counter()
+    with pytest.raises(af.TrainingError, match="parent lane failed"):
+        bm.train_all(tiny_bundle_config(), train, test)
+    assert time.perf_counter() - t0 < 60
+    assert multiprocessing.active_children() == []
+
+
+def test_child_dying_without_result_names_exit_code(small_world, monkeypatch):
+    _, train, test = small_world
+    lanes_forced(monkeypatch)
+    monkeypatch.setattr(bm, "_lane_a", lambda *args: os._exit(3))
+    monkeypatch.setattr(bm, "_lane_b", lambda *args: {})
+    with pytest.raises(af.TrainingError, match="exited with code 3"):
+        bm.train_all(tiny_bundle_config(), train, test)
+    assert multiprocessing.active_children() == []

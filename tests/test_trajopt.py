@@ -347,6 +347,11 @@ def test_lbfgs_line_search_failure_flag():
 
     _, hist = tj.lbfgs_minimize(f, np.array([1.0]))
     assert hist["status"] == "line_search_failure"
+    # the failed search took no step: 0 iterations, the starting value
+    # only, and the start plus 30 rejected trials
+    assert hist["iterations"] == 0
+    assert len(hist["values"]) == 1
+    assert hist["evaluations"] == 31
 
 
 def deferred(objective, calls):
