@@ -187,16 +187,23 @@ def _encode(store, features, conv_map=None):
     return ad.tanh(ad.dense(x, store["enc/proj/w"], store["enc/proj/b"]))
 
 
-CONV_MAP_CHUNK = 256  # rows per forward pass of encoder_conv_map
+# Rows per pass of encoder_conv_map, chosen by timing alone since the bits
+# do not depend on it: on 180 rows at one BLAS thread the map took 58 ms
+# in one pass and 22-26 ms at 16, 32 or 64 rows, 32 the fastest.
+CONV_MAP_CHUNK = 32
 
 
 def encoder_conv_map(store, features):
     """Forward-only conv-stage map (N, ENC_MAP) of a feature set.
 
-    A row does not depend on the rows computed with it, so while the
-    encoder is frozen one map stands in for the conv stages of every
-    training batch.  The latent projection is not included: its K = 576
-    GEMM rounds differently with the batch size.
+    Every forward-only evaluation runs the conv stages through this
+    function.  A row does not depend on the rows computed with it, so
+    while the encoder is frozen one map stands in for the conv stages of
+    every training batch, and the map is built ``CONV_MAP_CHUNK`` rows
+    at a time with the bits of one pass.  32 rows keep the working set
+    small: the first stage's im2col columns take 5.3 MB at 32 rows
+    against 42 MB at 256.  The latent projection is not included: its
+    K = 576 GEMM rounds differently with the batch size.
     """
     features = np.asarray(features).reshape(-1, 24, 24, 4)
     n = CONV_MAP_CHUNK
@@ -268,9 +275,29 @@ def placeability_forward(model, traj, onehot, features=None, conv_map=None):
     return _trunk(model.store, ad.concat(parts, axis=-1))
 
 
+def placeability_heads(model, traj, onehot, features=None, conv_map=None):
+    """Mixture parameters of each row, as the ``densities.mdn_heads`` arrays
+    (alpha (N, m), mu (N, m, 2), sigma (N, m, 2)).
+
+    Forward only: the conv stages run through ``encoder_conv_map`` of
+    ``features`` unless ``conv_map``, the rows' map, is given.
+    """
+    if model.uses_cnn and conv_map is None:
+        conv_map = encoder_conv_map(model.store, features)
+    return dn.mdn_heads(placeability_forward(model, traj, onehot,
+                                             conv_map=conv_map).values)
+
+
 def placeability_predict(model, traj, onehot, features=None, conv_map=None):
-    raw = placeability_forward(model, traj, onehot, features, conv_map).values
-    return [dn.mdn_head(r) for r in raw]
+    """One MixtureDensity2D per row; see ``placeability_heads``."""
+    return [dn.MixtureDensity2D(*row) for row in
+            zip(*placeability_heads(model, traj, onehot, features, conv_map))]
+
+
+def _top_means(alpha, mu):
+    """Mean (N, 2) of each row's most probable component, the lowest
+    index on ties (``densities.mdn_top_component``)."""
+    return mu[np.arange(len(mu)), alpha.argmax(axis=-1)]
 
 
 def placeability_loss(model, data, idx=None, penalty_weight=DEFAULT_PENALTY_WEIGHT,
@@ -317,6 +344,8 @@ def _fit(store, n, batch_loss, epochs, lr, seed, batch):
 
     ``batch_loss(idx)`` is the tape scalar of rows ``idx``.  Returns the
     per-epoch mean loss curve; a non-finite loss raises TrainingError.
+    The store ends without gradients or Adam moments
+    (``ParamStore.end_training``).
     """
     rng = np.random.default_rng(seed)
     curve = []
@@ -335,6 +364,7 @@ def _fit(store, n, batch_loss, epochs, lr, seed, batch):
             store.adam_step(lr)
             total += value * len(idx)
         curve.append(total / n)
+    store.end_training()
     return curve
 
 
@@ -388,16 +418,15 @@ def evaluate_placeability(model, data, batch=256, conv_map=None):
     projection still runs on ``batch`` rows at a time, so the metrics do
     not change.
     """
-    nll, se = [], []
+    nll, se = np.empty(len(data)), np.empty(len(data))
     for lo in range(0, len(data), batch):
         rows = slice(lo, lo + batch)
-        d = data.subset(rows)
-        dists = placeability_predict(model, d.traj, d.onehot, d.features,
-                                     None if conv_map is None else conv_map[rows])
-        for dist, label in zip(dists, d.label):
-            nll.append(dn.mdn_nll(dist, label))
-            point = dist.mu[dn.mdn_top_component(dist)]
-            se.append(((point - label) ** 2).sum())
+        alpha, mu, sigma = placeability_heads(
+            model, data.traj[rows], data.onehot[rows], data.features[rows],
+            None if conv_map is None else conv_map[rows])
+        label = data.label[rows]
+        nll[rows] = dn.mdn_nlls(alpha, mu, sigma, label)
+        se[rows] = ((_top_means(alpha, mu) - label) ** 2).sum(axis=-1)
     return {"nll": float(np.mean(nll)), "mse": float(np.mean(se))}
 
 
@@ -439,7 +468,7 @@ def autoencoder_loss(store, data, idx):
 
 def encode_features(store, features):
     """Deterministic latent for a batch of feature stacks (forward only)."""
-    return _encode(store, np.asarray(features).reshape(-1, 24, 24, 4)).values
+    return _encode(store, None, encoder_conv_map(store, features)).values
 
 
 def train_occupancy_autoencoder(dataset, epochs, seed=0, lr=1e-3, batch=32):
@@ -604,18 +633,17 @@ def valid_region_rate(model, data, clearance=None, batch=256):
     before the place event; clearance defaults to each sample's object
     radius.
     """
-    offsets = np.unique(data.offset)
-    hits = {o: [] for o in offsets}
+    ok = np.empty(len(data), dtype=bool)
     for lo in range(0, len(data), batch):
-        idx = np.arange(lo, min(lo + batch, len(data)))
-        d = data.subset(idx)
-        dists = placeability_predict(model, d.traj, d.onehot, d.features)
-        points = np.array([dist.mu[dn.mdn_top_component(dist)] for dist in dists])
-        r = d.radius if clearance is None else np.full(len(d), clearance)
-        ok = sc.valid_placement_rows(points, d.half_extent, r, d.sdf, d.cell_size)
-        for offset, hit in zip(d.offset, ok):
-            hits[offset].append(hit)
-    return {float(o): float(np.mean(v)) for o, v in hits.items()}
+        rows = slice(lo, lo + batch)
+        alpha, mu, _ = placeability_heads(model, data.traj[rows],
+                                          data.onehot[rows], data.features[rows])
+        r = data.radius[rows] if clearance is None else np.full(len(alpha), clearance)
+        ok[rows] = sc.valid_placement_rows(_top_means(alpha, mu),
+                                           data.half_extent[rows], r,
+                                           data.sdf[rows], data.cell_size[rows])
+    return {float(o): float(np.mean(ok[data.offset == o]))
+            for o in np.unique(data.offset)}
 
 
 def compute_grasp_stats(data):

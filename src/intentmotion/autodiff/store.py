@@ -77,6 +77,15 @@ class ParamStore:
         for t in self.params.values():
             t.zero_grad()
 
+    def end_training(self):
+        """Drop what only training reads: every gradient and the Adam
+        moments and step count.  Checkpoints hold neither, so a later
+        ``adam_step`` starts as it would on a loaded checkpoint."""
+        self.zero_grad()
+        self._m.clear()
+        self._v.clear()
+        self._t = 0
+
     def num_params(self, prefix=""):
         return sum(t.values.size for n, t in self.params.items()
                    if n.startswith(prefix))

@@ -92,24 +92,57 @@ class VmfDistribution:
 # mixture density
 
 
+def _one_row(batched, dist, x):
+    return float(batched(dist.alpha[None], dist.mu[None], dist.sigma[None],
+                         np.asarray(x, dtype=float)[None])[0])
+
+
 def mdn_pdf(dist, x):
-    x = np.asarray(x, dtype=float)
-    z = (x - dist.mu) / dist.sigma
-    comp = np.exp(-0.5 * (z**2).sum(axis=-1)) / (2 * np.pi * dist.sigma.prod(axis=-1))
-    return float((dist.alpha * comp).sum())
+    return _one_row(mdn_pdfs, dist, x)
 
 
 def mdn_nll(dist, x):
-    return -math.log(mdn_pdf(dist, x) + PDF_FLOOR)
+    return _one_row(mdn_nlls, dist, x)
+
+
+def mdn_pdfs(alpha, mu, sigma, x):
+    """Densities (N,) of points ``x`` (N, 2), row i under the mixture of
+    row i of the ``mdn_heads`` arrays."""
+    z = (x[:, None, :] - mu) / sigma
+    comp = np.exp(-0.5 * (z**2).sum(axis=-1)) / (2 * np.pi * sigma.prod(axis=-1))
+    return (alpha * comp).sum(axis=-1)
+
+
+def mdn_nlls(alpha, mu, sigma, x):
+    """Floored NLLs (N,), -log(pdf + PDF_FLOOR), of points ``x`` (N, 2)
+    under the rows' mixtures."""
+    # math.log per row: np.log rounds differently in the last bit on about
+    # 1 in 800 random inputs (numpy 2.4)
+    return np.array([-math.log(p + PDF_FLOOR)
+                     for p in mdn_pdfs(alpha, mu, sigma, x).tolist()])
+
+
+def mdn_heads(raw):
+    """Raw head outputs (N, 5m) -> alpha (N, m), mu (N, m, 2), sigma (N, m, 2).
+
+    Each row is a valid mixture: a row that ``MixtureDensity2D`` would
+    reject (a sigma that underflows to 0) raises its ValueError.
+    """
+    raw = np.asarray(raw, dtype=float)
+    comp = raw.reshape(raw.shape[0], raw.shape[1] // 5, 5)
+    logits = comp[..., 0] - comp[..., 0].max(axis=-1, keepdims=True)
+    e = np.exp(logits)
+    alpha = e / e.sum(axis=-1, keepdims=True)
+    sigma = np.exp(comp[..., 3:5])
+    if np.any(np.abs(alpha.sum(axis=-1) - 1.0) > 1e-12) or np.any(sigma <= 0):
+        raise ValueError("invalid mixture parameters")
+    return alpha, comp[..., 1:3], sigma
 
 
 def mdn_head(raw, m=None):
     """Raw head output (5m,) -> valid MixtureDensity2D."""
-    raw = np.asarray(raw, dtype=float).reshape(-1, 5)
-    logits = raw[:, 0] - raw[:, 0].max()
-    e = np.exp(logits)
-    return MixtureDensity2D(alpha=e / e.sum(), mu=raw[:, 1:3],
-                            sigma=np.exp(raw[:, 3:5]))
+    alpha, mu, sigma = mdn_heads(np.reshape(raw, (1, -1)))
+    return MixtureDensity2D(alpha=alpha[0], mu=mu[0], sigma=sigma[0])
 
 
 def mdn_expected(dist):

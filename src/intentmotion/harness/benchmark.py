@@ -94,9 +94,9 @@ def train_grasp_posterior(config, posterior, train_set, test_set):
 
 
 def _lane_a(config, train_eps, test_eps, place):
-    """autoencoder -> transfer -> transfer-penalty, then plain -> gaussian.
-    ``place`` is the (train, test) placeability pair sets; returns the
-    stages' results by curve name."""
+    """autoencoder -> transfer -> transfer-penalty -> plain.  ``place`` is
+    the (train, test) placeability pair sets; returns the stages' results
+    by curve name."""
     encoder, curve = train_autoencoder(config, train_eps)
     out = {"autoencoder": (encoder, curve)}
     # the frozen encoder's conv maps of both splits, shared by both
@@ -107,12 +107,11 @@ def _lane_a(config, train_eps, test_eps, place):
                                                       encoder, maps)
     del maps
     out["place/plain"] = train_place_variant(config, "plain", *place, None)
-    out["grasp/gaussian"] = _grasp_stage(config, "gaussian", train_eps, test_eps)
     return out
 
 
 def _lane_b(config, train_eps, test_eps, place):
-    """penalty -> predictor -> no-cnn -> vmf; see ``_lane_a``."""
+    """penalty -> predictor -> no-cnn -> vmf -> gaussian; see ``_lane_a``."""
     out = {"place/penalty": train_place_variant(config, "penalty", *place, None)}
     windows, _ = ds.extract_training_pairs(train_eps, "predictor")
     out["predictor"] = tj.train_predictor(
@@ -120,14 +119,12 @@ def _lane_b(config, train_eps, test_eps, place):
         seed=config.seed)
     del windows
     out["place/no-cnn"] = train_place_variant(config, "no-cnn", *place, None)
-    out["grasp/vmf"] = _grasp_stage(config, "vmf", train_eps, test_eps)
+    grasp = tuple(ds.extract_training_pairs(eps, "graspability")[0]
+                  for eps in (train_eps, test_eps))
+    for posterior in ("vmf", "gaussian"):
+        out[f"grasp/{posterior}"] = train_grasp_posterior(config, posterior,
+                                                          *grasp)
     return out
-
-
-def _grasp_stage(config, posterior, train_eps, test_eps):
-    grasp_train, _ = ds.extract_training_pairs(train_eps, "graspability")
-    grasp_test, _ = ds.extract_training_pairs(test_eps, "graspability")
-    return train_grasp_posterior(config, posterior, grasp_train, grasp_test)
 
 
 BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -310,7 +307,6 @@ def run_benchmark(bundle, config, train_eps, test_eps, out_dir,
             progress(msg)
 
     os.makedirs(out_dir, exist_ok=True)
-    place_train, _ = ds.extract_training_pairs(train_eps, "placeability")
     place_test, _ = ds.extract_training_pairs(test_eps, "placeability")
     grasp_train, _ = ds.extract_training_pairs(train_eps, "graspability")
     grasp_test, _ = ds.extract_training_pairs(test_eps, "graspability")

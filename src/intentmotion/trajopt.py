@@ -520,7 +520,8 @@ def train_predictor(windows, epochs, lr=1e-3, seed=0, batch=32,
     predicted.  Scheduled sampling feeds the model its own prediction
     with a probability ramping linearly from 0 (teacher forced) to 1
     (self-fed) over ``ramp_epochs`` (default: half the epochs).
-    Returns (predictor, per-epoch MSE curve).
+    Returns (predictor, per-epoch MSE curve); the predictor's store ends
+    without gradients or Adam moments (``ParamStore.end_training``).
     """
     windows = np.asarray(windows, dtype=float)
     if windows.ndim != 3 or windows.shape[2] != STATE_DIM:
@@ -555,6 +556,7 @@ def train_predictor(windows, epochs, lr=1e-3, seed=0, batch=32,
             total += float(loss) * b
             count += b
         curve.append(total / count)
+    store.end_training()
     return predictor, curve
 
 

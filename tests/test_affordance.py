@@ -426,12 +426,14 @@ def per_row_flags(points, data, radius):
     return flags
 
 
-def per_row_valid_region_rate(model, data, clearance=None, batch=256):
-    """valid_region_rate with one is_valid_placement call per row."""
+def per_row_valid_region_rate(model, data, clearance=None, batch=256,
+                              predict=af.placeability_predict):
+    """valid_region_rate with one is_valid_placement call per row;
+    ``predict`` gives each batch's mixtures."""
     hits = {o: [] for o in np.unique(data.offset)}
     for lo in range(0, len(data), batch):
         d = data.subset(np.arange(lo, min(lo + batch, len(data))))
-        dists = af.placeability_predict(model, d.traj, d.onehot, d.features)
+        dists = predict(model, d.traj, d.onehot, d.features)
         points = [dist.mu[dn.mdn_top_component(dist)] for dist in dists]
         radius = d.radius if clearance is None else np.full(len(d), clearance)
         for offset, flag in zip(d.offset, per_row_flags(points, d, radius)):
@@ -464,12 +466,14 @@ def test_valid_region_rate_equals_per_row_oracle(monkeypatch):
     # crafted predictions: the top component sits at the row's crafted point
     points = {tuple(row[:3]): p for row, p in zip(data.traj, crafted_points(data, 9))}
 
-    def predict(model, traj, onehot, features=None):
-        return [dn.MixtureDensity2D(np.array([0.25, 0.75]),
-                                    np.stack([np.zeros(2), points[tuple(row[:3])]]),
-                                    np.ones((2, 2))) for row in traj]
+    def heads(model, traj, onehot, features=None, conv_map=None):
+        n = len(traj)
+        top = np.array([points[tuple(row[:3])] for row in traj])
+        return (np.tile([0.25, 0.75], (n, 1)),
+                np.stack([np.zeros((n, 2)), top], axis=1), np.ones((n, 2, 2)))
 
-    monkeypatch.setattr(af, "placeability_predict", predict)
+    # the oracle's placeability_predict reads the same crafted heads
+    monkeypatch.setattr(af, "placeability_heads", heads)
     for batch in (256, 7):
         rates = af.valid_region_rate(None, data, batch=batch)
         assert rates == per_row_valid_region_rate(None, data, batch=batch)
@@ -580,14 +584,13 @@ def test_autoencoder_grads_bitwise_equal_all_leaf_graph(monkeypatch):
 
 
 def test_conv_map_rows_do_not_depend_on_batch():
-    data = varied_place_set(100, seed=24)
+    # the reference is one conv pass over all rows, never chunked
     store = af.build_autoencoder(seed=7)
-    full = af.encoder_conv_map(store, data.features)
-    assert full.shape == (100, af.ENC_MAP)
-    features = data.features.reshape(-1, 24, 24, 4)
-    batched = np.concatenate([af._conv_map(store, features[lo:lo + 32]).values
-                              for lo in range(0, 100, 32)])
-    assert batched.tobytes() == full.tobytes()
+    for n in (1, 31, 32, 33, 100):
+        data = varied_place_set(n, seed=24)
+        chunked = af.encoder_conv_map(store, data.features)
+        assert chunked.shape == (n, af.ENC_MAP)
+        assert chunked.tobytes() == af._conv_map(store, data.features).values.tobytes()
 
 
 @pytest.mark.parametrize("variant", ["transfer", "transfer-penalty"])
@@ -619,14 +622,26 @@ def test_data_leaves_and_frozen_params_end_without_grad(monkeypatch):
         init(self, *args, **kwargs)
         made.append(self)
 
+    with_grad = []
+    adam_step = ParamStore.adam_step
+
+    def recording_step(store, lr):
+        with_grad.append({n for n, t in store.params.items() if t.grad is not None})
+        adam_step(store, lr)
+
     monkeypatch.setattr(Tensor, "__init__", recording_init)
+    monkeypatch.setattr(ParamStore, "adam_step", recording_step)
     af.train_placeability(model, data, data, epochs=1, seed=0)
     monkeypatch.undo()
     params = {id(t) for t in model.store.params.values()}
     leaves = [t for t in made if t.op == "leaf" and id(t) not in params]
     assert leaves and all(t.grad is None and not t.requires_grad for t in leaves)
-    for n, t in model.store.params.items():
-        assert (t.grad is None) == n.startswith("enc/")
+    # every step saw gradients on the trainable parameters alone
+    trainable = {n for n in model.store.names() if not n.startswith("enc/")}
+    assert with_grad and all(names == trainable for names in with_grad)
+    # and training ends holding neither gradients nor Adam moments
+    assert all(t.grad is None for t in model.store.params.values())
+    assert not model.store._m and not model.store._v and model.store._t == 0
 
 
 @pytest.mark.parametrize("variant", ["transfer", "plain"])
@@ -668,3 +683,49 @@ def test_conv_maps_need_a_frozen_encoder():
 def test_conv_map_of_no_rows_is_empty():
     store = af.build_autoencoder(0)
     assert af.encoder_conv_map(store, np.zeros((0, 24, 24, 4))).shape == (0, af.ENC_MAP)
+
+
+# ---------------------------------------------------------------------------
+# batched evaluation against the per-row path: the tape forward of each
+# batch's features, then mdn_head, mdn_nll and mdn_top_component per row
+
+
+def per_row_dists(model, traj, onehot, features):
+    raw = af.placeability_forward(model, traj, onehot, features).values
+    return [dn.mdn_head(r) for r in raw]
+
+
+def per_row_evaluate(model, data, batch):
+    nll, se = [], []
+    for lo in range(0, len(data), batch):
+        d = data.subset(slice(lo, lo + batch))
+        for dist, label in zip(per_row_dists(model, d.traj, d.onehot, d.features),
+                               d.label):
+            nll.append(dn.mdn_nll(dist, label))
+            point = dist.mu[dn.mdn_top_component(dist)]
+            se.append(((point - label) ** 2).sum())
+    return {"nll": float(np.mean(nll)), "mse": float(np.mean(se))}
+
+
+@pytest.mark.parametrize("variant", ["plain", "no-cnn"])
+@pytest.mark.parametrize("batch", [256, 7])
+def test_batched_evaluation_equals_per_row_oracle(variant, batch):
+    # more rows than one 256-row batch, on three planes
+    data = make_mixed_place_set(260, seed=42)
+    data.traj = data.traj * 10.0  # spread the top components apart
+    model = af.assemble_placeability(variant, seed=43)
+    assert af.evaluate_placeability(model, data, batch) == \
+        per_row_evaluate(model, data, batch)
+    for clearance in (None, 0.02):
+        rates = af.valid_region_rate(model, data, clearance, batch)
+        assert rates == per_row_valid_region_rate(model, data, clearance, batch,
+                                                  per_row_dists)
+        assert 0.0 < min(rates.values()) and max(rates.values()) < 1.0
+    for lo in range(0, len(data), batch):
+        rows = slice(lo, lo + batch)
+        args = (data.traj[rows], data.onehot[rows], data.features[rows])
+        for have, want in zip(af.placeability_predict(model, *args),
+                              per_row_dists(model, *args), strict=True):
+            for field in ("alpha", "mu", "sigma"):
+                assert getattr(have, field).tobytes() == \
+                    getattr(want, field).tobytes()

@@ -210,6 +210,25 @@ class TestParamStore:
             np.testing.assert_array_equal(loaded[n].values, store[n].values)
             assert loaded.trainable[n] == store.trainable[n]
 
+    def test_end_training_restarts_adam_as_a_loaded_checkpoint(self, tmp_path):
+        store = ParamStore()
+        w = store.add("w", np.array([1.0, -2.0]))
+        store.add("frozen", np.ones(2), trainable=False)
+        for _ in range(3):
+            store.zero_grad()
+            backward(ad.sum_sq(w))
+            store.adam_step(lr=0.1)
+        store.end_training()
+        assert all(t.grad is None for t in store.params.values())
+        assert not store._m and not store._v and store._t == 0
+        path = tmp_path / "w.ckpt"
+        store.save(path)
+        loaded = ParamStore.load(path)
+        for s in (store, loaded):
+            backward(ad.sum_sq(s["w"]))
+            s.adam_step(lr=0.1)
+        assert store["w"].values.tobytes() == loaded["w"].values.tobytes()
+
     def test_checkpoint_header(self, tmp_path):
         store = ParamStore()
         store.add("w", np.zeros(2))

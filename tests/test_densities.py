@@ -76,6 +76,38 @@ class TestMixture:
             dist = dn.mdn_head(raw)  # constructor enforces invariants
             assert dist.m == 7
 
+    def test_heads_equal_per_row_reference(self):
+        # the one-row formulas mdn_head, mdn_pdf and mdn_nll were written
+        # with before they became cases of the batched ones
+        rng = np.random.default_rng(29)
+        raw = rng.normal(scale=3.0, size=(5000, 35))
+        x = rng.normal(scale=0.5, size=(5000, 2))
+        alpha, mu, sigma = dn.mdn_heads(raw)
+        nll = dn.mdn_nlls(alpha, mu, sigma, x)
+        for i, r in enumerate(raw):
+            comp = r.reshape(-1, 5)
+            e = np.exp(comp[:, 0] - comp[:, 0].max())
+            want = (e / e.sum(), comp[:, 1:3], np.exp(comp[:, 3:5]))
+            dist = dn.mdn_head(r)
+            for have in ((alpha[i], mu[i], sigma[i]),
+                         (dist.alpha, dist.mu, dist.sigma)):
+                assert [a.tobytes() for a in have] == [a.tobytes() for a in want]
+            z = (x[i] - want[1]) / want[2]
+            comp = np.exp(-0.5 * (z**2).sum(axis=-1)) / (2 * np.pi * want[2].prod(axis=-1))
+            pdf = float((want[0] * comp).sum())
+            assert dn.mdn_pdf(dist, x[i]) == pdf
+            assert nll[i] == dn.mdn_nll(dist, x[i]) == -math.log(pdf + dn.PDF_FLOOR)
+
+    def test_heads_reject_underflowing_sigma(self):
+        raw = np.zeros((3, 35))
+        raw[1, 3] = -800.0  # log sigma: exp gives 0
+        with pytest.raises(ValueError, match="invalid mixture parameters"):
+            dn.mdn_heads(raw)
+        with pytest.raises(ValueError, match="invalid mixture parameters"):
+            dn.mdn_head(raw[1])
+        alpha, mu, sigma = dn.mdn_heads(np.zeros((0, 35)))
+        assert alpha.shape == (0, 7) and mu.shape == sigma.shape == (0, 7, 2)
+
     def test_single_component_nll_closed_form(self):
         rng = np.random.default_rng(3)
         raw = rng.normal(size=5)

@@ -575,6 +575,9 @@ def test_train_predictor_equals_the_tape_loop(epochs):
     assert curve == oracle_curve
     for name in tj._GRU_NAMES:
         assert np.array_equal(p.store[name].values, oracle.store[name].values), name
+    # training ends holding neither gradients nor Adam moments
+    assert all(t.grad is None for t in p.store.params.values())
+    assert not p.store._m and not p.store._v and p.store._t == 0
 
 
 def test_batch_gradients_match_central_differences():
