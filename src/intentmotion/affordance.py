@@ -32,7 +32,7 @@ import numpy as np
 from . import autodiff as ad
 from . import densities as dn
 from . import scene as sc
-from .autodiff import ParamStore
+from .autodiff import ParamStore, TrainingError
 
 TRAJ_DIM = 20 * 14 * 3  # 20 frames x (13 joints + held object) x 3
 ENC_MAP = 6 * 6 * 16  # flattened conv map before the latent projection
@@ -42,10 +42,6 @@ TRANSFER_VARIANTS = ("transfer", "transfer-penalty")  # frozen pre-trained encod
 MDN_COMPONENTS = 7
 TRUNK_WIDTH = 128
 DEFAULT_PENALTY_WEIGHT = 1.0
-
-
-class TrainingError(RuntimeError):
-    """Divergence or unusable training inputs."""
 
 
 class SurfaceFullError(RuntimeError):
@@ -339,33 +335,13 @@ def placeability_loss(model, data, idx=None, penalty_weight=DEFAULT_PENALTY_WEIG
     return loss
 
 
-def _fit(store, n, batch_loss, epochs, lr, seed, batch):
-    """Minibatch Adam over ``n`` rows, reshuffled every epoch.
-
-    ``batch_loss(idx)`` is the tape scalar of rows ``idx``.  Returns the
-    per-epoch mean loss curve; a non-finite loss raises TrainingError.
-    The store ends without gradients or Adam moments
-    (``ParamStore.end_training``).
-    """
-    rng = np.random.default_rng(seed)
-    curve = []
-    for epoch in range(epochs):
-        order = rng.permutation(n)
-        total = 0.0
-        for lo in range(0, n, batch):
-            idx = order[lo:lo + batch]
-            loss = batch_loss(idx)
-            value = loss.item()
-            if not np.isfinite(value):
-                raise TrainingError(f"training diverged at epoch {epoch}: "
-                                    f"loss={value}")
-            store.zero_grad()
-            ad.backward(loss)
-            store.adam_step(lr)
-            total += value * len(idx)
-        curve.append(total / n)
-    store.end_training()
-    return curve
+def _tape_step(batch_loss):
+    """A ``minibatch_adam`` step over ``batch_loss(idx)``, the tape scalar of
+    rows ``idx``."""
+    def step(idx, epoch, rng):
+        loss = batch_loss(idx)
+        return loss.item(), lambda: ad.backward(loss)
+    return step
 
 
 def train_placeability(model, train, test, epochs, lr=1e-3, seed=0, batch=32,
@@ -399,13 +375,27 @@ def train_placeability(model, train, test, epochs, lr=1e-3, seed=0, batch=32,
         conv_maps = tuple(encoder_conv_map(model.store, d.features)
                           for d in (train, test))
     train_map, test_map = (None, None) if conv_maps is None else conv_maps
-    curve = _fit(model.store, len(train),
-                 lambda idx: placeability_loss(model, train, idx, penalty_weight,
-                                               train_map),
-                 epochs, lr, seed, batch)
+    curve = ad.minibatch_adam(
+        model.store, len(train),
+        _tape_step(lambda idx: placeability_loss(model, train, idx,
+                                                 penalty_weight, train_map)),
+        epochs, lr, seed, batch)
     metrics = {"train": evaluate_placeability(model, train, conv_map=train_map),
                "test": evaluate_placeability(model, test, conv_map=test_map)}
     return curve, metrics
+
+
+def _set_heads(model, data, batch, conv_map=None):
+    """The ``placeability_heads`` arrays of every row of a PlaceabilitySet,
+    computed ``batch`` rows at a time (an empty set as one empty batch).
+    ``conv_map``, when given, is ``encoder_conv_map`` of all of ``data``'s
+    rows."""
+    heads = [placeability_heads(model, data.traj[lo:lo + batch],
+                                data.onehot[lo:lo + batch],
+                                data.features[lo:lo + batch],
+                                None if conv_map is None else conv_map[lo:lo + batch])
+             for lo in range(0, max(len(data), 1), batch)]
+    return [np.concatenate(h) for h in zip(*heads)]
 
 
 def evaluate_placeability(model, data, batch=256, conv_map=None):
@@ -418,15 +408,9 @@ def evaluate_placeability(model, data, batch=256, conv_map=None):
     projection still runs on ``batch`` rows at a time, so the metrics do
     not change.
     """
-    nll, se = np.empty(len(data)), np.empty(len(data))
-    for lo in range(0, len(data), batch):
-        rows = slice(lo, lo + batch)
-        alpha, mu, sigma = placeability_heads(
-            model, data.traj[rows], data.onehot[rows], data.features[rows],
-            None if conv_map is None else conv_map[rows])
-        label = data.label[rows]
-        nll[rows] = dn.mdn_nlls(alpha, mu, sigma, label)
-        se[rows] = ((_top_means(alpha, mu) - label) ** 2).sum(axis=-1)
+    alpha, mu, sigma = _set_heads(model, data, batch, conv_map)
+    nll = dn.mdn_nlls(alpha, mu, sigma, data.label)
+    se = ((_top_means(alpha, mu) - data.label) ** 2).sum(axis=-1)
     return {"nll": float(np.mean(nll)), "mse": float(np.mean(se))}
 
 
@@ -480,9 +464,10 @@ def train_occupancy_autoencoder(dataset, epochs, seed=0, lr=1e-3, batch=32):
     if len(dataset) == 0:
         raise TrainingError("empty autoencoder dataset")
     store = build_autoencoder(seed)
-    curve = _fit(store, len(dataset),
-                 lambda idx: autoencoder_loss(store, dataset, idx),
-                 epochs, lr, seed, batch)
+    curve = ad.minibatch_adam(
+        store, len(dataset),
+        _tape_step(lambda idx: autoencoder_loss(store, dataset, idx)),
+        epochs, lr, seed, batch)
     return store, curve
 
 
@@ -564,7 +549,8 @@ def train_graspability(model, train, test, epochs, lr=1e-3, seed=0, batch=32,
         return dn.vmf_loss_graph(raw, train.direction[idx], train.distance[idx],
                                  lambda_d)
 
-    curve = _fit(model.store, len(train), batch_loss, epochs, lr, seed, batch)
+    curve = ad.minibatch_adam(model.store, len(train), _tape_step(batch_loss),
+                              epochs, lr, seed, batch)
     metrics = {"train": evaluate_graspability(model, train),
                "test": evaluate_graspability(model, test)}
     return curve, metrics
@@ -621,7 +607,7 @@ def _place_baseline_on_grid(grid, plane, pelvis_plane_xy, radius):
     return cells[k]
 
 
-def valid_region_rate(model, data, clearance=None, batch=256):
+def valid_region_rate(model, data, batch=256):
     """Fraction of predicted placements in the valid region, per offset.
 
     The predicted placement is the mean of the most probable mixture
@@ -630,18 +616,12 @@ def valid_region_rate(model, data, clearance=None, batch=256):
     them and is not a placement anyone would choose.
 
     ``data`` is a PlaceabilitySet whose ``offset`` column holds seconds
-    before the place event; clearance defaults to each sample's object
-    radius.
+    before the place event; each placement needs its sample's object
+    radius of clearance.
     """
-    ok = np.empty(len(data), dtype=bool)
-    for lo in range(0, len(data), batch):
-        rows = slice(lo, lo + batch)
-        alpha, mu, _ = placeability_heads(model, data.traj[rows],
-                                          data.onehot[rows], data.features[rows])
-        r = data.radius[rows] if clearance is None else np.full(len(alpha), clearance)
-        ok[rows] = sc.valid_placement_rows(_top_means(alpha, mu),
-                                           data.half_extent[rows], r,
-                                           data.sdf[rows], data.cell_size[rows])
+    alpha, mu, _ = _set_heads(model, data, batch)
+    ok = sc.valid_placement_rows(_top_means(alpha, mu), data.half_extent,
+                                 data.radius, data.sdf, data.cell_size)
     return {float(o): float(np.mean(ok[data.offset == o]))
             for o in np.unique(data.offset)}
 

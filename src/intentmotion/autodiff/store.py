@@ -1,4 +1,5 @@
-"""Named parameter storage, Adam updates, and checkpoint IO."""
+"""Named parameter storage, Adam updates, the minibatch training loop, and
+checkpoint IO."""
 
 from __future__ import annotations
 
@@ -15,6 +16,10 @@ CHECKPOINT_MAGIC = b"IMCKPT1\n"
 
 class OptimizerError(Exception):
     """Raised when an update step cannot be applied."""
+
+
+class TrainingError(RuntimeError):
+    """Divergence or unusable training inputs."""
 
 
 # Two flat buffers that every adam_step works in, grown to the largest
@@ -85,6 +90,20 @@ class ParamStore:
         self._m.clear()
         self._v.clear()
         self._t = 0
+
+    def clip_grad_norm(self, max_norm):
+        """Scale every trainable gradient by one factor so that their global
+        norm is at most ``max_norm``."""
+        grads = [t.grad for n, t in self.params.items()
+                 if self.trainable[n] and t.grad is not None]
+        total = 0.0
+        for g in grads:
+            total += float((g * g).sum())
+        norm = np.sqrt(total)
+        if norm > max_norm:
+            scale = max_norm / norm
+            for g in grads:
+                g *= scale
 
     def num_params(self, prefix=""):
         return sum(t.values.size for n, t in self.params.items()
@@ -217,3 +236,39 @@ class ParamStore:
             if n.startswith(prefix):
                 flag = other.trainable[n] if trainable is None else trainable
                 self.add(n, other.params[n].values.copy(), flag)
+
+
+def minibatch_adam(store, n, batch_step, epochs, lr, seed, batch,
+                   clip_norm=None):
+    """Minibatch Adam over ``n`` rows, reshuffled every epoch.
+
+    ``batch_step(idx, epoch, rng)`` returns the loss value of rows ``idx``
+    and a zero-argument function that writes their gradients into the
+    store, the deferred form ``lbfgs_minimize`` takes.  ``rng`` is the
+    loop's generator, seeded by ``seed``; a step may draw from it after the
+    epoch's permutation.  With ``clip_norm`` the gradients are clipped to
+    that global norm (``ParamStore.clip_grad_norm``) before each update.
+    Returns the per-epoch mean loss curve; a non-finite loss raises
+    TrainingError before its gradients are written.  The store ends
+    without gradients or Adam moments (``ParamStore.end_training``).
+    """
+    rng = np.random.default_rng(seed)
+    curve = []
+    for epoch in range(epochs):
+        order = rng.permutation(n)
+        total = 0.0
+        for lo in range(0, n, batch):
+            idx = order[lo:lo + batch]
+            value, write_grads = batch_step(idx, epoch, rng)
+            if not np.isfinite(value):
+                raise TrainingError(f"training diverged at epoch {epoch}: "
+                                    f"loss={value}")
+            store.zero_grad()
+            write_grads()
+            if clip_norm is not None:
+                store.clip_grad_norm(clip_norm)
+            store.adam_step(lr)
+            total += value * len(idx)
+        curve.append(total / n)
+    store.end_training()
+    return curve

@@ -299,17 +299,17 @@ def motion_report(bundle, config, test_eps):
     return tj.evaluate_prediction(bundle.predictor, problems)
 
 
-def run_benchmark(bundle, config, train_eps, test_eps, out_dir,
-                  progress=None):
-    """Full evaluation; writes report files and returns the report dict."""
+def run_benchmark(bundle, config, test_eps, place_test, grasp_train, grasp_test,
+                  out_dir, progress=None):
+    """Full evaluation; writes report files and returns the report dict.
+
+    ``place_test``, ``grasp_train`` and ``grasp_test`` are the pair sets
+    the caller extracted from the episodes."""
     def note(msg):
         if progress:
             progress(msg)
 
     os.makedirs(out_dir, exist_ok=True)
-    place_test, _ = ds.extract_training_pairs(test_eps, "placeability")
-    grasp_train, _ = ds.extract_training_pairs(train_eps, "graspability")
-    grasp_test, _ = ds.extract_training_pairs(test_eps, "graspability")
 
     note("evaluating placeability")
     table1 = placeability_report(bundle, place_test)

@@ -310,8 +310,8 @@ def cmd_eval(args):
             "test": af.evaluate_graspability(model, grasp_test)}
 
     report_dir = os.path.join(args.out, "report")
-    bm.run_benchmark(bundle, config, train, test, report_dir,
-                     progress=lambda m: print(m, file=sys.stderr))
+    bm.run_benchmark(bundle, config, test, place_test, grasp_train, grasp_test,
+                     report_dir, progress=lambda m: print(m, file=sys.stderr))
     write_manifest(report_dir, config)
     print(f"report written to {report_dir}")
     return 0

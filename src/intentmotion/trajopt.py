@@ -19,10 +19,13 @@ optimizer, ``warm_start`` runs the observed frames once per problem,
 back-propagates through time to d(loss)/d(controls).  The objective
 hands L-BFGS its gradient as a function over the kept rollout steps; the
 line search judges trial points by value alone, so the adjoint runs only
-at the start and at each accepted step.  Training runs a
-batch of windows forward with scheduled sampling (``_batch_forward``) and
-back through time to the gradient of every parameter
-(``_batch_backward``).  Both backward passes go through one cell adjoint,
+at the start and at each accepted step.  Training is one
+``autodiff.minibatch_adam`` loop, the one every model trains through: each
+step runs a batch of windows forward with scheduled sampling
+(``_batch_forward``), and its deferred gradient goes back through time to
+every parameter (``_batch_backward``); the loop clips the gradients
+(``ParamStore.clip_grad_norm``) and applies the Adam update.  Both
+backward passes go through one cell adjoint,
 ``_cell_adjoint``, and every sum runs in the order of the tape's backward
 pass, so states, losses and gradients equal the tape's bit for bit.  The
 tape version (``unroll``, ``c_goalset``, ``c_lowlevel``) is the reference
@@ -56,33 +59,6 @@ class ShortTermPredictor:
     store: ParamStore
     hidden: int = HIDDEN
     state_dim: int = STATE_DIM
-
-
-@dataclass
-class PredictionProblem:
-    """One goal-constrained prediction instance."""
-    observed: np.ndarray  # (t, 39)
-    goal: np.ndarray  # p*, 3D world point
-    goal_mode: str = "place"  # "place" hovers above p*, "grasp" targets it
-    horizon: int = HORIZON
-    alpha1: float = 1.0
-    alpha2: float = 10.0
-    wrist_index: int = sc.R_WRIST
-
-    def __post_init__(self):
-        if self.alpha1 < 0 or self.alpha2 < 0:
-            raise ValueError("objective weights must be >= 0")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if self.goal_mode not in ("place", "grasp"):
-            raise ValueError(f"unknown goal_mode {self.goal_mode!r}")
-
-    @property
-    def target(self):
-        t = np.asarray(self.goal, dtype=float).copy()
-        if self.goal_mode == "place":
-            t[2] += HOVER_OFFSET
-        return t
 
 
 def build_predictor(seed=0, hidden=HIDDEN, state_dim=STATE_DIM):
@@ -443,19 +419,24 @@ def predict_fullbody(predictor, observed, goal, goal_mode="place", alpha1=1.0,
                      max_iters=60, tol=1e-6):
     """Optimize controls so the rollout's wrist ends at the goal.
 
-    Returns (trajectory (horizon, 39), delta*, diagnostics).  With
-    alpha2 = 0 the controls stay at zero and the output equals the
-    unconstrained rollout.
+    A place goal is aimed at ``HOVER_OFFSET`` above ``goal``, a grasp goal
+    at ``goal`` itself.  Negative weights, a horizon below 1 or an unknown
+    ``goal_mode`` raise ValueError before any rollout.  Returns (trajectory
+    (horizon, 39), delta*, diagnostics).  With alpha2 = 0 the controls stay
+    at zero and the output equals the unconstrained rollout.
     """
-    problem = PredictionProblem(observed=np.asarray(observed, dtype=float),
-                                goal=np.asarray(goal, dtype=float),
-                                goal_mode=goal_mode, horizon=horizon,
-                                alpha1=alpha1, alpha2=alpha2,
-                                wrist_index=wrist_index)
-    target = problem.target
+    if alpha1 < 0 or alpha2 < 0:
+        raise ValueError("objective weights must be >= 0")
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    if goal_mode not in ("place", "grasp"):
+        raise ValueError(f"unknown goal_mode {goal_mode!r}")
+    target = np.array(goal, dtype=float)
+    if goal_mode == "place":
+        target[2] += HOVER_OFFSET
     shape = (horizon, predictor.state_dim)
     lo = 3 * wrist_index
-    start = warm_start(predictor, problem.observed)
+    start = warm_start(predictor, observed)
 
     last = {}  # the last evaluated controls and their rollout
 
@@ -496,21 +477,6 @@ def zero_velocity_baseline(observed, horizon):
 # predictor training (scheduled sampling on 50-frame windows)
 
 
-def _clip_gradients(store, max_norm):
-    """Scale all gradients down when their global norm exceeds max_norm."""
-    total = 0.0
-    grads = [t.grad for n, t in store.params.items()
-             if store.trainable[n] and t.grad is not None]
-    for g in grads:
-        total += float((g * g).sum())
-    norm = np.sqrt(total)
-    if norm > max_norm:
-        scale = max_norm / norm
-        for g in grads:
-            g *= scale
-    return norm
-
-
 def train_predictor(windows, epochs, lr=1e-3, seed=0, batch=32,
                     observed=OBSERVED_FRAMES, ramp_epochs=None,
                     clip_norm=1.0):
@@ -519,9 +485,12 @@ def train_predictor(windows, epochs, lr=1e-3, seed=0, batch=32,
     The first ``observed`` frames warm up the hidden state; the rest are
     predicted.  Scheduled sampling feeds the model its own prediction
     with a probability ramping linearly from 0 (teacher forced) to 1
-    (self-fed) over ``ramp_epochs`` (default: half the epochs).
-    Returns (predictor, per-epoch MSE curve); the predictor's store ends
-    without gradients or Adam moments (``ParamStore.end_training``).
+    (self-fed) over ``ramp_epochs`` (default: half the epochs).  The
+    batches run through ``autodiff.minibatch_adam`` with the gradients
+    clipped to the global norm ``clip_norm``; a non-finite loss raises
+    TrainingError.  Returns (predictor, per-epoch MSE curve); the
+    predictor's store ends without gradients or Adam moments
+    (``ParamStore.end_training``).
     """
     windows = np.asarray(windows, dtype=float)
     if windows.ndim != 3 or windows.shape[2] != STATE_DIM:
@@ -532,31 +501,21 @@ def train_predictor(windows, epochs, lr=1e-3, seed=0, batch=32,
     horizon = t - observed
     predictor = build_predictor(seed)
     store = predictor.store
-    rng = np.random.default_rng(seed)
     ramp = ramp_epochs if ramp_epochs is not None else max(1, epochs // 2)
-    curve = []
-    for epoch in range(epochs):
+
+    def step(idx, epoch, rng):
         p_self = min(1.0, epoch / ramp)
-        order = rng.permutation(n)
-        total, count = 0.0, 0
-        for lo_i in range(0, n, batch):
-            idx = order[lo_i:lo_i + batch]
-            b = len(idx)
-            use_self = np.array([rng.random(b) < p_self for _ in range(horizon)])
-            w = [store[name].values for name in _GRU_NAMES]
-            loss, cache = _batch_forward(w, windows[idx, :observed],
-                                         windows[idx, observed:], use_self)
-            if not np.isfinite(loss):
-                raise TrajoptError(f"training diverged at epoch {epoch}")
-            store.zero_grad()
+        use_self = np.array([rng.random(len(idx)) < p_self for _ in range(horizon)])
+        w = [store[name].values for name in _GRU_NAMES]
+        loss, cache = _batch_forward(w, windows[idx, :observed],
+                                     windows[idx, observed:], use_self)
+
+        def write_grads():
             for name, g in zip(_GRU_NAMES, _batch_backward(w, cache)):
                 store[name].grad = g
-            _clip_gradients(store, clip_norm)
-            store.adam_step(lr)
-            total += float(loss) * b
-            count += b
-        curve.append(total / count)
-    store.end_training()
+        return float(loss), write_grads
+
+    curve = ad.minibatch_adam(store, n, step, epochs, lr, seed, batch, clip_norm)
     return predictor, curve
 
 

@@ -426,7 +426,7 @@ def per_row_flags(points, data, radius):
     return flags
 
 
-def per_row_valid_region_rate(model, data, clearance=None, batch=256,
+def per_row_valid_region_rate(model, data, batch=256,
                               predict=af.placeability_predict):
     """valid_region_rate with one is_valid_placement call per row;
     ``predict`` gives each batch's mixtures."""
@@ -435,8 +435,7 @@ def per_row_valid_region_rate(model, data, clearance=None, batch=256,
         d = data.subset(np.arange(lo, min(lo + batch, len(data))))
         dists = predict(model, d.traj, d.onehot, d.features)
         points = [dist.mu[dn.mdn_top_component(dist)] for dist in dists]
-        radius = d.radius if clearance is None else np.full(len(d), clearance)
-        for offset, flag in zip(d.offset, per_row_flags(points, d, radius)):
+        for offset, flag in zip(d.offset, per_row_flags(points, d, d.radius)):
             hits[offset].append(flag)
     return {float(o): float(np.mean(v)) for o, v in hits.items()}
 
@@ -458,10 +457,9 @@ def test_valid_placement_rows_equal_per_row_calls():
 def test_valid_region_rate_equals_per_row_oracle(monkeypatch):
     data = make_mixed_place_set(30, seed=41)
     model = af.assemble_placeability("no-cnn", seed=41)
-    for clearance in (None, 0.02):
-        for batch in (256, 7):
-            assert af.valid_region_rate(model, data, clearance, batch) == \
-                per_row_valid_region_rate(model, data, clearance, batch)
+    for batch in (256, 7):
+        assert af.valid_region_rate(model, data, batch) == \
+            per_row_valid_region_rate(model, data, batch)
 
     # crafted predictions: the top component sits at the row's crafted point
     points = {tuple(row[:3]): p for row, p in zip(data.traj, crafted_points(data, 9))}
@@ -716,11 +714,9 @@ def test_batched_evaluation_equals_per_row_oracle(variant, batch):
     model = af.assemble_placeability(variant, seed=43)
     assert af.evaluate_placeability(model, data, batch) == \
         per_row_evaluate(model, data, batch)
-    for clearance in (None, 0.02):
-        rates = af.valid_region_rate(model, data, clearance, batch)
-        assert rates == per_row_valid_region_rate(model, data, clearance, batch,
-                                                  per_row_dists)
-        assert 0.0 < min(rates.values()) and max(rates.values()) < 1.0
+    rates = af.valid_region_rate(model, data, batch)
+    assert rates == per_row_valid_region_rate(model, data, batch, per_row_dists)
+    assert 0.0 < min(rates.values()) and max(rates.values()) < 1.0
     for lo in range(0, len(data), batch):
         rows = slice(lo, lo + batch)
         args = (data.traj[rows], data.onehot[rows], data.features[rows])

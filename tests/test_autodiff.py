@@ -190,6 +190,54 @@ class TestParamStore:
             store.adam_step(lr=0.1)
         assert abs(float(x.values[0]) - 5.0) < 1e-2
 
+    def test_clip_grad_norm_scales_trainable_gradients_only(self):
+        store = ParamStore()
+        w = store.add("w", np.zeros(2))
+        b = store.add("b", np.zeros(1))
+        frozen = store.add("frozen", np.zeros(2), trainable=False)
+        w.grad, b.grad, frozen.grad = np.array([3.0, 0.0]), np.array([4.0]), np.ones(2)
+        store.clip_grad_norm(10.0)  # norm 5: untouched
+        assert w.grad.tolist() == [3.0, 0.0] and b.grad.tolist() == [4.0]
+        store.clip_grad_norm(1.0)
+        np.testing.assert_allclose(np.concatenate([w.grad, b.grad]), [0.6, 0.0, 0.8])
+        assert frozen.grad.tolist() == [1.0, 1.0]
+
+    def test_minibatch_adam_visits_rows_in_the_loop_generators_order(self):
+        store = ParamStore()
+        x = store.add("x", np.zeros(1))
+        calls = []
+
+        def step(idx, epoch, rng):
+            calls.append((epoch, idx.tolist(), rng.random()))
+            value = float(len(idx) + epoch)
+
+            def write_grads():
+                x.grad = np.ones(1)
+            return value, write_grads
+
+        curve = ad.minibatch_adam(store, 5, step, epochs=2, lr=0.1, seed=7, batch=2)
+        rng = np.random.default_rng(7)
+        expected = []
+        for epoch in range(2):
+            order = rng.permutation(5)
+            for lo in range(0, 5, 2):
+                expected.append((epoch, order[lo:lo + 2].tolist(), rng.random()))
+        assert calls == expected
+        assert curve == [(2 * 2 + 2 * 2 + 1) / 5, (3 * 2 + 3 * 2 + 2) / 5]
+        assert x.values[0] < 0 and x.grad is None and store._t == 0
+
+    def test_minibatch_adam_raises_on_a_nonfinite_loss(self):
+        store = ParamStore()
+        store.add("x", np.zeros(1))
+        written = []
+
+        def step(idx, epoch, rng):
+            return (np.nan if epoch == 1 else 1.0), lambda: written.append(epoch)
+
+        with pytest.raises(ad.TrainingError, match="diverged at epoch 1"):
+            ad.minibatch_adam(store, 4, step, epochs=3, lr=0.1, seed=0, batch=4)
+        assert written == [0]
+
     def test_nonfinite_gradient_aborts(self):
         store = ParamStore()
         t = store.add("w", np.ones(2))

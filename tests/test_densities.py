@@ -23,7 +23,9 @@ def mdn_quadrature(dist, n=400):
     hi = (dist.mu + 8 * dist.sigma).max(axis=0)
     xs = np.linspace(lo[0], hi[0], n)
     ys = np.linspace(lo[1], hi[1], n)
-    vals = np.array([[dn.mdn_pdf(dist, (x, y)) for y in ys] for x in xs])
+    grid = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
+    vals = dn.mdn_pdfs(dist.alpha[None], dist.mu[None], dist.sigma[None],
+                       grid).reshape(n, n)
     return np.trapezoid(np.trapezoid(vals, ys, axis=1), xs)
 
 

@@ -110,19 +110,26 @@ def test_c_goalset_matches_manual_distance():
     assert abs(value - oracle) < 1e-12
 
 
-def test_prediction_problem_validation():
+def test_predict_fullbody_validation_and_hover_target(monkeypatch):
+    p = tj.build_predictor(0)
     obs = np.zeros((5, tj.STATE_DIM))
-    with pytest.raises(ValueError):
-        tj.PredictionProblem(obs, np.zeros(3), goal_mode="teleport")
-    with pytest.raises(ValueError):
-        tj.PredictionProblem(obs, np.zeros(3), alpha1=-1.0)
-    with pytest.raises(ValueError):
-        tj.PredictionProblem(obs, np.zeros(3), horizon=0)
-    hovered = tj.PredictionProblem(obs, np.array([1.0, 2.0, 0.7]))
-    assert np.allclose(hovered.target, [1.0, 2.0, 0.7 + tj.HOVER_OFFSET])
-    grasp = tj.PredictionProblem(obs, np.array([1.0, 2.0, 0.7]),
-                                 goal_mode="grasp")
-    assert np.allclose(grasp.target, [1.0, 2.0, 0.7])
+    goal = np.array([1.0, 2.0, 0.7])
+    lo = 3 * sc.R_WRIST
+    for mode, lift in (("place", tj.HOVER_OFFSET), ("grasp", 0.0)):
+        traj, _, diag = tj.predict_fullbody(p, obs, goal, goal_mode=mode,
+                                            max_iters=2)
+        target = goal + np.array([0.0, 0.0, lift])
+        assert diag["goal_distance"] == np.linalg.norm(traj[-1, lo:lo + 3] - target)
+
+    def no_rollout(*args):
+        raise AssertionError("rolled out before the arguments were checked")
+
+    monkeypatch.setattr(tj, "warm_start", no_rollout)
+    monkeypatch.setattr(tj, "rollout", no_rollout)
+    for kwargs in ({"goal_mode": "teleport"}, {"alpha1": -1.0},
+                   {"alpha2": -1.0}, {"horizon": 0}):
+        with pytest.raises(ValueError):
+            tj.predict_fullbody(p, obs, goal, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +538,7 @@ def tape_train_predictor(windows, epochs, lr=1e-3, seed=0, batch=32,
                                    windows[idx, observed:], masks)
             store.zero_grad()
             ad.backward(loss)
-            tj._clip_gradients(store, clip_norm)
+            store.clip_grad_norm(clip_norm)
             store.adam_step(lr)
             total += loss.item() * b
             count += b
@@ -634,7 +641,7 @@ def test_train_predictor_rejects_windows_without_a_horizon():
 def test_train_predictor_aborts_on_nan():
     windows = make_windows(6, 10, seed=12)
     windows[2, 5, 3] = np.nan
-    with pytest.raises((tj.TrajoptError, ad.OptimizerError)):
+    with pytest.raises(ad.TrainingError, match="diverged at epoch 0"):
         tj.train_predictor(windows, epochs=1, observed=4, batch=6)
 
 
