@@ -456,11 +456,14 @@ def conv2d_same(x, k):
     with odd kh and kw.
 
     The forward pass is one GEMM of the (N*H*W, kh*kw*Cin) im2col columns
-    with the kernel.  The input gradient scatters the column gradient
-    back by kh*kw shifted adds into a zero-padded buffer, in row-major
-    (i, j) order; each offset's (N, H, W, Cin) block is first copied to
-    one contiguous buffer, so the add reads contiguous memory without a
-    second full-size copy of the column gradient.
+    with the kernel; the node keeps only the padded input's window view,
+    not the columns.  The kernel gradient rebuilds the columns by the same
+    expression and takes one GEMM with the output gradient.  The input
+    gradient is one small GEMM per kernel offset, ``g @ k[i, j].T``, added
+    into a zero-padded buffer at that offset's shift in row-major (i, j)
+    order, so no column gradient is ever built.  With Cin >= 2 this gives
+    the bits of the full column-gradient GEMM and its scatter; with Cin = 1
+    each product is a matrix-vector one and may round differently.
     """
     x, k = _as_tensor(x), _as_tensor(k)
     if x.values.ndim != 4 or k.values.ndim != 4 or x.values.shape[3] != k.values.shape[2]:
@@ -474,22 +477,23 @@ def conv2d_same(x, k):
     ph, pw = kh // 2, kw // 2
     xp = np.pad(x.values, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
     win = sliding_window_view(xp, (kh, kw), axis=(1, 2))  # (N,H,W,Cin,kh,kw)
-    cols = win.transpose(0, 1, 2, 4, 5, 3).reshape(n * h * w, kh * kw * cin)
-    kmat = k.values.reshape(kh * kw * cin, cout)
-    out = Tensor((cols @ kmat).reshape(n, h, w, cout), (x, k), "conv2d")
+
+    def columns():
+        return win.transpose(0, 1, 2, 4, 5, 3).reshape(n * h * w, kh * kw * cin)
+
+    kv = k.values
+    out = Tensor((columns() @ kv.reshape(kh * kw * cin, cout)).reshape(n, h, w, cout),
+                 (x, k), "conv2d")
 
     def bwd(g):
         gf = g.reshape(n * h * w, cout)
         if k.requires_grad:
-            k._accumulate((cols.T @ gf).reshape(k.values.shape))
+            k._accumulate((columns().T @ gf).reshape(kv.shape))
         if x.requires_grad:
-            dcols = (gf @ kmat.T).reshape(n, h, w, kh, kw, cin)
             dxp = np.zeros_like(xp)
-            tap = np.empty((n, h, w, cin))
             for i in range(kh):
                 for j in range(kw):
-                    np.copyto(tap, dcols[:, :, :, i, j, :])
-                    dxp[:, i:i + h, j:j + w, :] += tap
+                    dxp[:, i:i + h, j:j + w, :] += (gf @ kv[i, j].T).reshape(n, h, w, cin)
             x._accumulate(dxp[:, ph:ph + h, pw:pw + w, :])
 
     out._backward = bwd

@@ -257,13 +257,6 @@ def affordance_place_goal(model, predictor, problem):
     return np.array([point[0], point[1], gen.TABLE.height])
 
 
-def attach_affordance_goals(model, predictor, problems):
-    for prob in problems:
-        prob["goals"]["affordance"] = affordance_place_goal(model, predictor,
-                                                            prob)
-    return problems
-
-
 # ---------------------------------------------------------------------------
 # report assembly
 
@@ -294,8 +287,10 @@ def valid_region_report(bundle, place_test):
 
 def motion_report(bundle, config, test_eps):
     problems = ds.prediction_problems(test_eps)[:config.eval_episode_cap]
-    attach_affordance_goals(bundle.place_models[config.goal_variant],
-                            bundle.predictor, problems)
+    model = bundle.place_models[config.goal_variant]
+    for prob in problems:
+        prob["goals"]["affordance"] = affordance_place_goal(
+            model, bundle.predictor, prob)
     return tj.evaluate_prediction(bundle.predictor, problems)
 
 

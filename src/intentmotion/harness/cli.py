@@ -42,8 +42,8 @@ class _Parser(argparse.ArgumentParser):
 
 def load_config(args):
     """BenchmarkConfig from ``--config`` and ``--seed``; a config file that
-    is not a JSON object of known keys with values of the defaults' types
-    raises UsageError."""
+    is not a JSON object of known keys with values of the defaults' types,
+    or that sets an ``*_epochs`` key below 1, raises UsageError."""
     values = {}
     if args.config:
         with open(args.config) as f:
@@ -63,6 +63,9 @@ def load_config(args):
             if not isinstance(value, want) or isinstance(value, bool):
                 raise UsageError(f"config key {key!r} must be "
                                  f"{types[key].__name__}, got {value!r}")
+            if key.endswith("_epochs") and value < 1:
+                raise UsageError(f"config key {key!r} must be at least 1, "
+                                 f"got {value!r}")
     if args.seed is not None:
         values["seed"] = args.seed
     return bm.BenchmarkConfig(**values)

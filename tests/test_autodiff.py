@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -452,6 +453,19 @@ def conv_backward_oracle(x, k, g):
     return dxp[:, ph:ph + h, pw:pw + w, :], dk
 
 
+# (kernel, grid, batch): three small shapes, then the encoder's and the
+# decoder's kernels on the grids they train on, at a full batch, the last
+# partial batch of the default row count and a single row
+CONV_TRAINING_SHAPES = [((3, 3, 16, 8), (24, 24)), ((3, 3, 8, 1), (24, 24)),
+                        ((3, 3, 16, 16), (12, 12)), ((3, 3, 8, 16), (12, 12))]
+CONV_ORACLE_CASES = ([(k, (12, 10), 4) for k in [(3, 3, 8, 16), (3, 3, 16, 16),
+                                                  (5, 3, 8, 4)]]
+                     + [(k, grid, n) for k, grid in CONV_TRAINING_SHAPES
+                        for n in (32, 20, 1)])
+CONV_ORACLE_IDS = [f"kshape{i}" for i in range(3)] + [
+    f"{k[2]}to{k[3]}-{grid[0]}x{grid[1]}-n{n}" for k, grid, n in CONV_ORACLE_CASES[3:]]
+
+
 def adam_oracle(store, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """One Adam step written with a temporary per operation."""
     store._t += 1
@@ -503,18 +517,33 @@ class TestKernelOracles:
         out._backward(g)
         assert bits(x.grad) == bits(np.full(xv.shape, -0.0) + dx_ref)
 
-    @pytest.mark.parametrize("kshape", [(3, 3, 8, 16), (3, 3, 16, 16),
-                                        (5, 3, 8, 4)])
-    def test_conv_backward_matches_scatter_oracle(self, kshape):
+    @pytest.mark.parametrize("kshape, grid, n", CONV_ORACLE_CASES,
+                             ids=CONV_ORACLE_IDS)
+    def test_conv_backward_matches_scatter_oracle(self, kshape, grid, n):
         rng = np.random.default_rng(kshape[2])
-        xv = rng.normal(size=(4, 12, 10, kshape[2]))
+        xv = rng.normal(size=(n, *grid, kshape[2]))
         kv = rng.normal(size=kshape)
-        g = rng.normal(size=(4, 12, 10, kshape[3]))
+        g = rng.normal(size=(n, *grid, kshape[3]))
         dx_ref, dk_ref = conv_backward_oracle(xv, kv, g)
         x, k = Tensor(xv), Tensor(kv)
         ad.conv2d_same(x, k)._backward(g)
         assert bits(x.grad) == bits(dx_ref + 0.0)
         assert bits(k.grad) == bits(dk_ref + 0.0)
+
+    def test_conv_node_holds_less_than_its_columns(self):
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=(8, 24, 24, 16)))
+        k = Tensor(rng.normal(size=(3, 3, 16, 8)))
+        columns_bytes = 8 * 24 * 24 * (3 * 3 * 16) * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = ad.conv2d_same(x, k)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        assert held < columns_bytes
 
     def test_adam_step_matches_oracle(self):
         rng = np.random.default_rng(3)

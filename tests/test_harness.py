@@ -291,6 +291,27 @@ def test_cli_usage_errors(tmp_path):
                      "--config", str(bad)]) == 1
 
 
+EPOCH_KEY_COMMANDS = {"autoencoder_epochs": ["train-autoencoder"],
+                      "place_epochs": ["train-place", "--variant", "plain"],
+                      "grasp_epochs": ["train-grasp"],
+                      "predictor_epochs": ["train-predictor"]}
+
+
+@pytest.mark.parametrize("key", list(EPOCH_KEY_COMMANDS))
+def test_cli_zero_epochs_is_a_usage_error(tmp_path, capsys, key):
+    cfg = tiny_config(tmp_path)
+    out = str(tmp_path / "out")
+    assert cli.main(["gen-data", "--seed", "1", "--out", out,
+                     "--config", cfg]) == 0
+    bad = tmp_path / "zero.json"
+    bad.write_text(json.dumps(dict(json.loads(pathlib.Path(cfg).read_text()),
+                                   **{key: 0})))
+    assert cli.main(EPOCH_KEY_COMMANDS[key] + ["--seed", "1", "--out", out,
+                                               "--config", str(bad)]) == 1
+    assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "out" / "checkpoints").exists()
+
+
 def test_cli_eval_without_checkpoints(tmp_path, capsys):
     cfg = tiny_config(tmp_path)
     out = str(tmp_path / "out")
