@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.metadata
 import json
 import os
 import sys
 from dataclasses import asdict, fields
 
 import numpy as np
-import scipy
 
 from .. import __version__
 from .. import affordance as af
@@ -85,7 +85,7 @@ def write_manifest(directory, config, extra=None):
         "versions": {
             "intentmotion": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": importlib.metadata.version("scipy"),
             "python": ".".join(map(str, sys.version_info[:3])),
         },
     }

@@ -19,7 +19,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import uniform_filter1d
 
 from .. import scene as sc
 
@@ -118,9 +117,24 @@ def minimum_jerk(tau):
     return 10 * tau ** 3 - 15 * tau ** 4 + 6 * tau ** 5
 
 
+def _moving_average(x, size):
+    """Centred moving average of odd width along axis 0, edges repeated.
+
+    A running sum: the first window added in order, then each difference
+    ``x[i + size] - x[i]``, every partial sum divided by ``size``.  This
+    is the order of ``scipy.ndimage.uniform_filter1d(x, size, axis=0,
+    mode="nearest")`` and gives its bits.
+    """
+    n = len(x)
+    padded = x[np.clip(np.arange(n + size - 1) - size // 2, 0, n - 1)]
+    steps = padded.copy()
+    steps[size:] -= padded[:-size]
+    return np.cumsum(steps, axis=0)[size - 1:] / size
+
+
 def _smooth_noise(rng, frames, scale, width=9):
     raw = rng.normal(size=(frames, 3))
-    return scale * uniform_filter1d(raw, width, axis=0, mode="nearest")
+    return scale * _moving_average(raw, width)
 
 
 def _place_distractors(rng, count):
@@ -309,7 +323,7 @@ def _attempt_episode(config, persona_id, index, attempt):
         elif i >= place_frame - n_blend:
             current = default[i]
         heading[i] = current
-    heading = uniform_filter1d(heading, 7, mode="nearest")
+    heading = _moving_average(heading, 7)
 
     joints = _skeleton(rng, pelvis, heading, wrist, profile.noise)
 

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.ndimage import uniform_filter1d
 
 import intentmotion.affordance as af
 import intentmotion.scene as sc
@@ -125,6 +126,35 @@ def test_sample_place_point_matches_cell_loop():
     assert outcomes == {True, False}
 
 
+@pytest.mark.parametrize("width", [7, 9])
+def test_moving_average_bits_equal_uniform_filter1d(width):
+    rng = np.random.default_rng(width)
+    for length in range(1, 41):
+        for shape in ((length,), (length, 3)):
+            x = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4)
+            want = uniform_filter1d(x, width, axis=0, mode="nearest")
+            assert gen._moving_average(x, width).tobytes() == want.tobytes()
+
+
+RUNTIME_IMPORTS = """
+import sys
+import intentmotion
+import intentmotion.harness.benchmark
+import intentmotion.harness.cli
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_runtime_does_not_import_scipy():
+    src = str(pathlib.Path(bm.__file__).parents[2])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    run = subprocess.run([sys.executable, "-c", RUNTIME_IMPORTS], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+
+
 def test_distractor_grid_built_once_per_object(monkeypatch):
     calls = []
     build = sc.plane_feature_stack
@@ -227,7 +257,8 @@ def test_autoencoder_target_includes_placed_object(small_world):
     ep = train[0]
     place = [e for e in ep.events if e.kind == "place"][0]
     rel = gen.TABLE.to_plane_frame(np.asarray(place.point[:2]))
-    cell = np.round(gen.TABLE.point_to_cell(rel)).astype(int)
+    cell = np.round((rel + np.asarray(gen.TABLE.extent) / 2)
+                    / gen.TABLE.cell_size - 0.5).astype(int)
     assert auto.target[0][cell[0], cell[1]] == 1.0
     # the target adds occupancy on top of the pre-place grid
     assert auto.target[0].sum() >= auto.features[0, ..., 0].sum()

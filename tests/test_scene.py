@@ -1,7 +1,21 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from intentmotion import scene as sc
+
+
+def scipy_edt_sdf(occupancy):
+    """The SDF formula on scipy's exact EDT (Maurer et al., 2003)."""
+    occ = np.asarray(occupancy) != 0
+    free = ~occ
+    blocked = np.pad(occ, 1, constant_values=True)
+    d_free = ndimage.distance_transform_edt(~blocked)[1:-1, 1:-1]
+    if free.any():
+        d_occ = ndimage.distance_transform_edt(~free)
+    else:
+        d_occ = np.full(occ.shape, 48.0)
+    return np.where(free, d_free, -d_occ)
 
 
 def brute_force_sdf(occ):
@@ -42,12 +56,6 @@ class TestTypes:
     def test_bad_grid_resolution(self):
         with pytest.raises(sc.SceneError):
             sc.SupportPlane("table", (0, 0), (1, 1), 0.7, grid_resolution=(16, 16))
-
-    def test_skeleton_requires_13_joints(self):
-        with pytest.raises(sc.SceneError):
-            sc.SkeletonFrame(np.zeros((12, 3)), 0.0)
-        with pytest.raises(sc.SceneError):
-            sc.SkeletonFrame(np.full((13, 3), np.nan), 0.0)
 
     def test_key_joints_are_nine(self):
         assert len(sc.KEY_JOINTS) == 9
@@ -125,6 +133,22 @@ class TestSDF:
             occ = (rng.random((24, 24)) < rng.uniform(0.02, 0.3)).astype(float)
             np.testing.assert_allclose(sc.signed_distance_field(occ),
                                        brute_force_sdf(occ), atol=1e-9)
+
+    def test_bits_equal_scipy_edt(self):
+        rng = np.random.default_rng(18)
+        grids = [(rng.random((24, 24)) < rng.uniform(0.0, 0.6)).astype(float)
+                 for _ in range(1000)]
+        single_free = np.ones((24, 24))
+        single_free[7, 16] = 0
+        border = np.zeros((24, 24))
+        border[0, 3:9] = border[10:15, 23] = border[23, 20:] = border[:2, 0] = 1
+        grids += [np.zeros((24, 24)), np.ones((24, 24)), single_free, border]
+        # other shapes, up to sizes whose squared distances need int32
+        grids += [(rng.random(shape) < 0.3).astype(float)
+                  for shape in rng.integers(1, 60, size=(100, 2))]
+        for occ in grids:
+            assert sc.signed_distance_field(occ).tobytes() == \
+                scipy_edt_sdf(occ).tobytes()
 
     def test_lipschitz_and_sign(self):
         # The two-sided cell-center convention (+1 / -1 across a free-
