@@ -439,11 +439,12 @@ def episode_from_jsonl(text):
     """Parse an episode written by ``episode_to_jsonl``.
 
     Malformed input raises ValueError naming the problem: a line that is
-    not a JSON object, a record without one of its fields, a missing
-    scene or events record, frame arrays that are ragged, of the wrong
-    shape or not finite, a scene object whose position is not 3-d or
-    whose footprint is not 2-d, an event whose time or 3-d point is not
-    finite, and an unknown target type or source surface.
+    not a JSON object, a record without one of its fields, a record whose
+    type is not scene, frame or events, a missing scene or events record,
+    frame arrays that are ragged, of the wrong shape or not finite, a
+    scene object whose position is not 3-d or whose footprint is not 2-d,
+    an event whose time or 3-d point is not finite, and an unknown target
+    type or source surface.
     """
     joints, track, times = [], [], []
     head = events = None
@@ -461,6 +462,9 @@ def episode_from_jsonl(text):
                 events = [Event(e["kind"], e["object_id"], e["surface"],
                                 float(e["time"]), tuple(map(float, e["point"])))
                           for e in rec["events"]]
+            else:
+                raise ValueError(f"episode JSONL line {lineno}: unknown record "
+                                 f"type {kind!r}")
     except KeyError as exc:
         raise ValueError(f"episode JSONL line {lineno}: record has no "
                          f"{exc.args[0]!r} field") from None

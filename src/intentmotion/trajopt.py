@@ -16,10 +16,19 @@ the point itself.
 The optimizer and predictor training run on plain numpy.  For the
 optimizer, ``warm_start`` runs the observed frames once per problem,
 ``rollout`` steps the cell over the horizon and ``rollout_adjoint``
-back-propagates through time to d(loss)/d(controls).  The objective
-hands L-BFGS its gradient as a function over the kept rollout steps; the
-line search judges trial points by value alone, so the adjoint runs only
-at the start and at each accepted step.  Training is one
+back-propagates through time to d(loss)/d(controls), all on 1-D vectors
+(a vector times a matrix is the same BLAS gemv call as a (1, n) row and
+gives the same bits).  The objective hands L-BFGS its gradient as a
+function over the kept rollout steps; the line search judges trial
+points by value alone, so the adjoint runs only at the start and at each
+accepted step.  ``predict_fullbody``'s objective also computes the
+control cost ``alpha1 * ||delta||^2`` first, and when it already exceeds
+the value at the last accepted point it returns it without rolling out.
+That keeps the bits: the full value ``fl(control + goal)`` with
+``goal >= 0`` is at least ``control``, because rounding is monotone, and
+the Armijo threshold ``f + c1 * t * (g . d)`` is at most ``f`` on a
+descent direction, so the full evaluation would reject the trial too and
+the iterates, counts and objective history do not change.  Training is one
 ``autodiff.minibatch_adam`` loop, the one every model trains through: each
 step runs a batch of windows forward with scheduled sampling
 (``_batch_forward``), and its deferred gradient goes back through time to
@@ -153,9 +162,10 @@ def c_goalset(predictor, observed, delta, target, wrist_index=sc.R_WRIST):
 # plain-numpy rollout and its adjoint (backpropagation through time)
 #
 # The forward computes the sums of ``_gru_step`` and ``unroll`` in the
-# same order on the same shapes, so its states equal the tape's bit for
-# bit.  The adjoint adds the terms of each gradient in the order the
-# tape's reverse topological walk adds them.
+# same order, on 1-D vectors where the tape has (1, n) rows, so its
+# states equal the tape's bit for bit.  The adjoint adds the terms of
+# each gradient in the order the tape's reverse topological walk adds
+# them.
 
 _GRU_NAMES = ("gru/wz", "gru/uz", "gru/bz", "gru/wr", "gru/ur", "gru/br",
               "gru/wh", "gru/uh", "gru/bh", "out/w", "out/b")
@@ -171,69 +181,77 @@ def _np_sigmoid(a):
 def _np_gru_step(w, x, h):
     """One cell step on arrays: (h_new, z, r, c).
 
-    The update and reset pre-activations share one (B, 2H) buffer, so one
-    sigmoid covers both gates; ``z`` and ``r`` are views of its halves.
-    ``np.dot`` makes the same BLAS call as ``@`` on these 2-D operands
+    ``x`` and ``h`` are (B, n) batches or, for one sequence, 1-D vectors;
+    a vector times a matrix makes the same BLAS gemv call as a (1, n) row
+    and gives the same bits.  The update and reset pre-activations share
+    one buffer, so one sigmoid covers both gates; ``z`` and ``r`` are
+    views of its halves.  ``np.dot`` makes the same BLAS call as ``@``
     without the gufunc dispatch.
     """
     wz, uz, bz, wr, ur, br, wh, uh, bh = w[:9]
     n = uz.shape[0]
-    zr = np.empty((x.shape[0], 2 * n))
-    np.add(np.dot(x, wz) + np.dot(h, uz), bz, out=zr[:, :n])
-    np.add(np.dot(x, wr) + np.dot(h, ur), br, out=zr[:, n:])
+    zr = np.empty(x.shape[:-1] + (2 * n,))
+    np.add(np.dot(x, wz) + np.dot(h, uz), bz, out=zr[..., :n])
+    np.add(np.dot(x, wr) + np.dot(h, ur), br, out=zr[..., n:])
     zr = _np_sigmoid(zr)
-    z, r = zr[:, :n], zr[:, n:]
+    z, r = zr[..., :n], zr[..., n:]
     c = np.tanh(np.dot(x, wh) + np.dot(r * h, uh) + bh)
     return (1.0 - z) * h + z * c, z, r, c
 
 
 def warm_start(predictor, observed):
-    """(h, s, v) after the observed frames, each a (1, n) array.
+    """(h, s, v) after the observed frames: the hidden state, the last
+    frame and the last velocity, each a 1-D array.
 
     The observed frames do not depend on the controls, so one warm start
     serves every rollout of a problem.  Each step's input [frame, velocity]
-    is written into one reused (1, 2D) buffer.
+    is written into one reused vector of length 2D.
     """
     w = [predictor.store[n].values for n in _GRU_NAMES]
     obs = np.asarray(observed, dtype=float)
-    h = np.zeros((1, predictor.hidden))
-    x = np.zeros((1, 2 * obs.shape[1]))
-    xs, xv = np.split(x, 2, axis=1)  # views of the two halves
+    d = obs.shape[1]
+    h = np.zeros(predictor.hidden)
+    x = np.zeros(2 * d)
     for i in range(len(obs)):
-        xs[...] = obs[i]
+        x[:d] = obs[i]
         if i > 0:
-            np.subtract(obs[i:i + 1], obs[i - 1:i], out=xv)
+            np.subtract(obs[i], obs[i - 1], out=x[d:])
         h = _np_gru_step(w, x, h)[0]
-    return h, obs[-1:], xv.copy()
+    return h, obs[-1], x[d:].copy()
 
 
 def rollout(predictor, start, delta):
     """Predicted states (horizon, D) from a warm start under controls.
 
-    Returns (states, steps); ``steps`` holds each step's previous hidden
-    state and gate activations (h, z, r, c) for ``rollout_adjoint``.
-    The states are checked once, after the loop: a non-finite state runs
-    on through the remaining steps with floating-point warnings silenced,
-    and the error names the first step whose state is not finite.  Each
-    step's input [s, s - s_prev] is written into one reused (1, 2D) buffer.
+    ``start`` is ``warm_start``'s 1-D (h, s, v).  Returns (states, steps);
+    ``steps`` holds each step's previous hidden state and gate activations
+    (h, z, r, c), all 1-D, for ``rollout_adjoint``.  Step k reads its
+    input [s, s - s_prev] from row k of one (horizon + 1, 2D) buffer and
+    writes the next state and velocity into row k + 1, so no step
+    concatenates or splits.  The states are checked once, after the loop:
+    a non-finite state runs on through the remaining steps with
+    floating-point warnings silenced, and the error names the first step
+    whose state is not finite.
     """
     w = [predictor.store[n].values for n in _GRU_NAMES]
     out_w, out_b = w[9], w[10]
     h, s, v = start
-    x = np.concatenate([s, v], axis=-1)
-    xs, xv = np.split(x, 2, axis=1)  # views of the two halves
+    d = predictor.state_dim
     delta = np.asarray(delta, dtype=float)
-    states = np.empty((delta.shape[0], predictor.state_dim))
+    xs = np.empty((delta.shape[0] + 1, 2 * d))
+    xs[0, :d] = s
+    xs[0, d:] = v
+    s = xs[0, :d]
     steps = []
     with np.errstate(all="ignore"):
         for k in range(delta.shape[0]):
-            h_new, z, r, c = _np_gru_step(w, x, h)
-            s_next = s + (np.dot(h_new, out_w) + out_b) + delta[k:k + 1]
+            h_new, z, r, c = _np_gru_step(w, xs[k], h)
             steps.append((h, z, r, c))
-            xs[...] = s_next
-            np.subtract(s_next, s, out=xv)
+            s_next = xs[k + 1, :d]
+            np.add(s + (np.dot(h_new, out_w) + out_b), delta[k], out=s_next)
+            np.subtract(s_next, s, out=xs[k + 1, d:])
             h, s = h_new, s_next
-            states[k] = s[0]
+    states = xs[1:, :d].copy()
     finite = np.isfinite(states).all(axis=1)
     if not finite.all():
         k = int(np.argmin(finite))
@@ -269,28 +287,31 @@ def _cell_adjoint(w, step, g_new, with_x=True):
 def rollout_adjoint(predictor, steps, grad_states):
     """d(loss)/d(controls), shape (horizon, D), given d(loss)/d(states).
 
-    Walks the steps of ``rollout`` backward.  ``gs`` and ``gv`` carry the
-    loss gradient with respect to the state and velocity that enter the
-    next step, ``g_h`` and ``g_hr`` the next cell's two parts of the
-    gradient at the hidden state.
+    Walks the steps of ``rollout`` backward on 1-D vectors.  ``gs`` and
+    ``gv`` carry the loss gradient with respect to the state and velocity
+    that enter the next step, ``g_h`` and ``g_hr`` the next cell's two
+    parts of the gradient at the hidden state.  Step 0's cell gets no
+    adjoint: what enters it comes from the observed frames, which do not
+    depend on the controls.
     """
     w = [predictor.store[n].values for n in _GRU_NAMES]
     out_w = w[9]
     d = predictor.state_dim
     grad_states = np.asarray(grad_states, dtype=float)
     grad = np.empty_like(grad_states)
-    gs = np.zeros((1, d))
-    gv = np.zeros((1, d))
+    gs = np.zeros(d)
+    gv = np.zeros(d)
     g_h = g_hr = None
-    for k in range(len(steps) - 1, -1, -1):
+    for k in range(len(steps) - 1, 0, -1):
         # s_next = s + residual + delta[k] and v_next = s_next - s
-        g_next = gs + gv + grad_states[k:k + 1]
-        grad[k] = g_next[0]
+        g_next = gs + gv + grad_states[k]
+        grad[k] = g_next
         g_out = np.dot(g_next, out_w.T)
         g_new = g_out if g_h is None else g_h + g_out + g_hr
         _, g_x, g_h, g_hr = _cell_adjoint(w, steps[k], g_new)
-        gs = g_next - gv + g_x[:, :d]
-        gv = g_x[:, d:]
+        gs = g_next - gv + g_x[:d]
+        gv = g_x[d:]
+    grad[0] = gs + gv + grad_states[0]
     return grad
 
 
@@ -337,7 +358,8 @@ def lbfgs_minimize(objective, x0, memory=10, max_iters=100, tol=1e-6,
     zero-argument function returning it.  The backtracking line search
     needs only the value at a trial point, so a function is called only
     at the starting point and at each accepted step, never at a rejected
-    trial.  Both forms give the same iterates.
+    trial, and the gradient of a trial the objective knows the search
+    rejects may be None.  Both forms give the same iterates.
 
     Returns (x_best, history) where history carries the monotone
     objective sequence, iteration count, the number of objective calls
@@ -424,6 +446,11 @@ def predict_fullbody(predictor, observed, goal, goal_mode="place", alpha1=1.0,
     ``goal_mode`` raise ValueError before any rollout.  Returns (trajectory
     (horizon, 39), delta*, diagnostics).  With alpha2 = 0 the controls stay
     at zero and the output equals the unconstrained rollout.
+
+    The diagnostics count the objective calls as ``evaluations`` and those
+    that rolled out the GRU as ``rollouts``; the others are line-search
+    trials whose control cost alone exceeds the value at the last accepted
+    point, so they neither roll out nor raise on a non-finite state.
     """
     if alpha1 < 0 or alpha2 < 0:
         raise ValueError("objective weights must be >= 0")
@@ -438,23 +465,37 @@ def predict_fullbody(predictor, observed, goal, goal_mode="place", alpha1=1.0,
     lo = 3 * wrist_index
     start = warm_start(predictor, observed)
 
-    last = {}  # the last evaluated controls and their rollout
+    # the last rolled-out controls and their states, the number of
+    # rollouts, and the value at the last point L-BFGS accepted, which it
+    # tells by asking for that point's gradient
+    last = {"rollouts": 0, "accepted": np.inf}
 
     def objective(x):
+        delta = x.reshape(shape)
+        control = np.sum(delta * delta) * alpha1
+        if control > last["accepted"]:
+            # the full value fl(control + goal) >= control exceeds the
+            # Armijo threshold f + c1 * t * (g . d) <= f, so the line
+            # search rejects this trial without its rollout or gradient
+            return float(control), None
         # deferred=True, passed by position: L-BFGS runs the adjoint only
         # at the points it accepts
         value, grad, last["traj"] = goal_objective(
-            predictor, start, x.reshape(shape), target, alpha1, alpha2,
-            wrist_index, True)
+            predictor, start, delta, target, alpha1, alpha2, wrist_index, True)
         last["x"] = x.tobytes()
-        return value, lambda: grad().ravel()
+        last["rollouts"] += 1
+
+        def gradient():
+            last["accepted"] = value
+            return grad().ravel()
+        return value, gradient
 
     x_star, history = lbfgs_minimize(objective, np.zeros(shape).ravel(),
                                      max_iters=max_iters, tol=tol)
     delta_star = x_star.reshape(shape)
     if last["x"] == x_star.tobytes():
         traj = last["traj"]
-    else:  # the last evaluation was a rejected trial step
+    else:  # the last rollout was a rejected trial step's
         traj, _ = rollout(predictor, start, delta_star)
     final_goal_dist = float(np.linalg.norm(traj[-1, lo:lo + 3] - target))
     diagnostics = {"c_goalset": final_goal_dist**2,
@@ -462,6 +503,7 @@ def predict_fullbody(predictor, observed, goal, goal_mode="place", alpha1=1.0,
                    "delta_norm": float(np.linalg.norm(delta_star)),
                    "iterations": history["iterations"],
                    "evaluations": history["evaluations"],
+                   "rollouts": last["rollouts"],
                    "status": history["status"],
                    "objective": history["values"]}
     return traj, delta_star, diagnostics

@@ -174,6 +174,10 @@ def test_episode_from_jsonl_named_faults(episode_records):
         ([episode_records[0], nan] + episode_records[2:], "non-finite"),
         ([episode_records[0], ragged] + episode_records[2:], "malformed record"),
         ([episode_records[0], 5] + episode_records[2:], "line 2: malformed"),
+        ([episode_records[0], dict(episode_records[1], type="x")]
+         + episode_records[2:], "line 2: unknown record type 'x'"),
+        (episode_records[:2] + [dict(episode_records[2], type=None)]
+         + episode_records[3:], "line 3: unknown record type None"),
         (edited(0, lambda r: obj(r)["pose"].update(position=[0.1, 0.2])),
          "position must be 3-d"),
         (edited(0, lambda r: obj(r).update(footprint=[0.04])),

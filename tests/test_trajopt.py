@@ -163,9 +163,15 @@ def test_rollout_equals_tape_unroll_bit_for_bit(shape_kw, wrist):
         assert np.array_equal(states, tj.unroll(p, obs, controls).values)
 
 
-@pytest.mark.parametrize("shape_kw,wrist", KERNEL_SHAPES)
-def test_adjoint_matches_tape_gradient(shape_kw, wrist):
+@pytest.mark.parametrize("shape_kw,wrist,horizon", [
+    *(pytest.param(*c.values, tj.HORIZON, id=c.id) for c in KERNEL_SHAPES),
+    *(pytest.param(*c.values, h, id=f"{c.id}-horizon{h}")
+      for c in KERNEL_SHAPES for h in (1, 2))])
+def test_adjoint_matches_tape_gradient(shape_kw, wrist, horizon):
+    # rollout_adjoint writes step 0's gradient after its loop, which runs
+    # no step at horizon 1 and one step at horizon 2
     p, obs, delta, target = kernel_case(shape_kw, 21)
+    delta = delta[:horizon]
     alpha2 = 10.0
     value, grad, _ = tj.goal_objective(p, tj.warm_start(p, obs), delta, target,
                                        alpha1=1.0, alpha2=alpha2,
@@ -231,13 +237,14 @@ def test_predict_fullbody_returns_the_rollout_of_its_controls(monkeypatch):
 
 def test_predict_fullbody_rolls_out_again_after_a_rejected_step(monkeypatch):
     # an optimizer whose last evaluation is not the point it returns, as
-    # after a failed line search
+    # after a failed line search; the trial's control cost is below the
+    # accepted value, so it rolls out
     p, obs, _, _ = kernel_case({}, 26)
     real = tj.lbfgs_minimize
 
     def lbfgs(objective, x0, **kwargs):
         x, history = real(objective, x0, **kwargs)
-        objective(x + 0.5)
+        objective(x * 0.5)
         return x, history
 
     monkeypatch.setattr(tj, "lbfgs_minimize", lbfgs)
@@ -270,9 +277,41 @@ def test_predict_fullbody_runs_the_adjoint_only_at_accepted_points(monkeypatch):
     assert diag["status"] != "line_search_failure"
     # one gradient at the start and one per accepted step
     assert calls["adjoint"] == diag["iterations"] + 1 == len(diag["objective"])
-    assert calls["objective"] == diag["evaluations"]
+    # trials the control cost alone rejects skip the rollout too
+    assert calls["objective"] == diag["rollouts"] < diag["evaluations"]
     # the problem has rejected line-search trials, which skip the adjoint
     assert diag["evaluations"] > diag["iterations"] + 1
+
+
+@pytest.mark.parametrize("seed,mode,alpha1", [(25, "place", 1.0),
+                                               (26, "grasp", 1.0),
+                                               (27, "place", 5.0)])
+def test_control_cost_skip_keeps_the_iterates(seed, mode, alpha1):
+    # the reference rolls out every trial, as the objective did before
+    # trials whose control cost alone exceeds the accepted value were
+    # skipped
+    p, obs, _, _ = kernel_case({}, seed)
+    goal = np.array([0.3, 0.2, 0.6])
+    target = goal + [0.0, 0.0, tj.HOVER_OFFSET if mode == "place" else 0.0]
+    start = tj.warm_start(p, obs)
+    shape = (tj.HORIZON, p.state_dim)
+
+    def every_trial_rolls_out(x):
+        value, grad, _ = tj.goal_objective(p, start, x.reshape(shape), target,
+                                           alpha1=alpha1, deferred=True)
+        return value, lambda: grad().ravel()
+
+    x, hist = tj.lbfgs_minimize(every_trial_rolls_out, np.zeros(shape).ravel(),
+                                max_iters=60)
+    traj, delta, diag = tj.predict_fullbody(p, obs, goal, goal_mode=mode,
+                                            alpha1=alpha1, max_iters=60)
+    assert delta.tobytes() == x.tobytes()
+    assert np.asarray(diag["objective"]).tobytes() == \
+        np.asarray(hist["values"]).tobytes()
+    assert [diag[k] for k in ("iterations", "evaluations", "status")] == \
+        [hist[k] for k in ("iterations", "evaluations", "status")]
+    assert np.array_equal(traj, tj.rollout(p, start, delta)[0])
+    assert diag["rollouts"] < diag["evaluations"]
 
 
 def test_rollout_names_the_first_nonfinite_step_without_warnings():
