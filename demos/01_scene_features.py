@@ -4,11 +4,6 @@ Builds a small table scene with a few objects, computes the 24x24
 feature stack, and shows how placement validity follows the SDF.
 """
 
-import os
-import tempfile
-
-import numpy as np
-
 import intentmotion.scene as sc
 
 table = sc.SupportPlane("table", (0.0, 0.0), (1.6, 0.8), 0.72)
@@ -33,9 +28,3 @@ for point in [(0.0, -0.25), (0.3, 0.12), (0.79, 0.0)]:
     ok = sc.is_valid_placement(point, table, objects, radius)
     print(f"place a {radius:.2f} m object at {point}: "
           f"{'valid' if ok else 'invalid'}")
-
-paths = sc.export_grid_csv(
-    grid, os.path.join(tempfile.gettempdir(), "table_features"))
-print("feature channels written to:")
-for p in paths:
-    print(" ", p)

@@ -1,7 +1,7 @@
 """Probability heads: 2D Gaussian mixtures, 3D Gaussians, von Mises-Fisher.
 
-Shows head decoding from raw network outputs, log likelihoods, sampling,
-and the density heatmap export used for placement visualization.
+Shows head decoding from raw network outputs, log likelihoods, and the
+density heatmap export used for placement visualization.
 """
 
 import os
@@ -17,12 +17,9 @@ rng = np.random.default_rng(0)
 raw = rng.normal(size=15)
 mix = dn.mdn_head(raw)
 print("mixture weights:", np.round(mix.alpha, 3))
-print("expected point:", np.round(dn.mdn_expected(mix), 3))
-print("NLL at the expectation:",
-      round(dn.mdn_nll(mix, dn.mdn_expected(mix)), 4))
-
-samples = np.array([dn.mdn_sample(mix, rng) for _ in range(2000)])
-print("sample mean (matches expectation):", np.round(samples.mean(axis=0), 3))
+top = mix.mu[dn.mdn_top_component(mix)]
+print("mean of the most probable component:", np.round(top, 3))
+print("NLL at that mean:", round(dn.mdn_nll(mix, top), 4))
 
 # diagonal 3D Gaussian for wrist positions
 g = dn.gaussian_head(np.array([0.1, -0.2, 0.8, -2.0, -2.0, -1.5]))

@@ -36,7 +36,8 @@ for step in range(400):
     if step % 100 == 0:
         print(f"step {step:3d}  mse {loss.item():.5f}")
 
-print(f"final mse {loss.item():.5f} with {store.num_params()} parameters")
+size = sum(t.values.size for t in store.params.values())
+print(f"final mse {loss.item():.5f} with {size} parameters")
 
 # gradients agree with finite differences
 worst = ad.grad_check(

@@ -5,8 +5,6 @@ plain placeability variant and the Gaussian graspability posterior for
 a few epochs, and compares them against the heuristic baselines.
 """
 
-import numpy as np
-
 import intentmotion.affordance as af
 from intentmotion.harness import datasets as ds
 from intentmotion.harness import generator as gen

@@ -25,7 +25,7 @@ frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,24 +50,6 @@ class SurfaceFullError(RuntimeError):
 
 class GraspStatsError(KeyError):
     """Missing (object type, surface) entry in the baseline stats table."""
-
-
-@dataclass(frozen=True)
-class AffordanceInput:
-    traj: np.ndarray  # (20, 14, 3) pelvis-relative positions
-    onehot: np.ndarray  # (14,) held/target object + surface code
-    plane_features: object = None  # PlaneFeatureGrid, placeability only
-
-    def __post_init__(self):
-        traj = np.asarray(self.traj, dtype=float)
-        onehot = np.asarray(self.onehot, dtype=float)
-        if traj.shape != (20, 14, 3):
-            raise ValueError(f"trajectory must be (20, 14, 3), got {traj.shape}")
-        if onehot.shape != (sc.ONEHOT_DIM,) or int(onehot.sum()) != 2 or \
-                set(np.unique(onehot)) - {0.0, 1.0}:
-            raise ValueError("onehot must be a 14-dim code with exactly 2 ones")
-        object.__setattr__(self, "traj", traj)
-        object.__setattr__(self, "onehot", onehot)
 
 
 # ---------------------------------------------------------------------------
@@ -151,10 +133,10 @@ class GraspabilityModel:
     store: ParamStore
 
 
-def _add_encoder(store, rng, trainable=True):
-    store.conv_layer("enc/c1", 3, 3, 4, 8, rng, trainable)
-    store.conv_layer("enc/c2", 3, 3, 8, 16, rng, trainable)
-    store.dense_layer("enc/proj", ENC_MAP, ENC_DIM, rng, trainable)
+def _add_encoder(store, rng):
+    store.conv_layer("enc/c1", 3, 3, 4, 8, rng)
+    store.conv_layer("enc/c2", 3, 3, 8, 16, rng)
+    store.dense_layer("enc/proj", ENC_MAP, ENC_DIM, rng)
 
 
 # per-channel input scales for the occupancy stack (occ, pos_x, pos_y, sdf):
@@ -284,10 +266,10 @@ def placeability_heads(model, traj, onehot, features=None, conv_map=None):
                                              conv_map=conv_map).values)
 
 
-def placeability_predict(model, traj, onehot, features=None, conv_map=None):
+def placeability_predict(model, traj, onehot, features=None):
     """One MixtureDensity2D per row; see ``placeability_heads``."""
     return [dn.MixtureDensity2D(*row) for row in
-            zip(*placeability_heads(model, traj, onehot, features, conv_map))]
+            zip(*placeability_heads(model, traj, onehot, features))]
 
 
 def _top_means(alpha, mu):
@@ -318,7 +300,7 @@ def placeability_loss(model, data, idx=None, penalty_weight=DEFAULT_PENALTY_WEIG
     raw = placeability_forward(model, d.traj, d.onehot, d.features, conv_map)
     loss = dn.mdn_nll_graph(raw, d.label)
     if model.variant in ("penalty", "transfer-penalty"):
-        _, mu = dn.mdn_alpha_mu_graph(raw)
+        mu = ad.reshape(raw, (len(d), MDN_COMPONENTS, 5))[:, :, 1:3]
         inv_cell = 1.0 / d.cell_size
         uv = ad.sub(ad.mul(ad.add(mu, d.half_extent[:, None, :]),
                            inv_cell[:, None, :]), 0.5)
@@ -450,12 +432,7 @@ def autoencoder_loss(store, data, idx):
     return ad.mean(ad.mul(diff, diff))
 
 
-def encode_features(store, features):
-    """Deterministic latent for a batch of feature stacks (forward only)."""
-    return _encode(store, None, encoder_conv_map(store, features)).values
-
-
-def train_occupancy_autoencoder(dataset, epochs, seed=0, lr=1e-3, batch=32):
+def train_occupancy_autoencoder(dataset, epochs, seed=0, lr=1e-3):
     """Train encoder+decoder on post-placement occupancy reconstruction.
 
     Returns (store, per-epoch MSE curve); the placeability transfer
@@ -467,7 +444,7 @@ def train_occupancy_autoencoder(dataset, epochs, seed=0, lr=1e-3, batch=32):
     curve = ad.minibatch_adam(
         store, len(dataset),
         _tape_step(lambda idx: autoencoder_loss(store, dataset, idx)),
-        epochs, lr, seed, batch)
+        epochs, lr, seed, 32)
     return store, curve
 
 
@@ -491,19 +468,17 @@ def graspability_forward(model, traj, onehot, obj_rel):
     return _trunk(model.store, x)
 
 
-def graspability_predict_points(model, data, idx=None):
+def graspability_predict_points(model, data):
     """World-frame 3D prediction points for MSE evaluation."""
-    if idx is None:
-        idx = np.arange(len(data))
-    raw = graspability_forward(model, data.traj[idx], data.onehot[idx],
-                               data.obj_rel[idx]).values
-    points = np.zeros((len(idx), 3))
-    for row, (r, i) in enumerate(zip(raw, idx)):
+    raw = graspability_forward(model, data.traj, data.onehot,
+                               data.obj_rel).values
+    points = np.zeros((len(raw), 3))
+    for i, r in enumerate(raw):
         if model.posterior == "gaussian":
-            points[row] = dn.gaussian_head(r).mu + data.pelvis[i]
+            points[i] = dn.gaussian_head(r).mu + data.pelvis[i]
         else:
             dist, d = dn.vmf_head(r)
-            points[row] = dn.vmf_point(data.object_pos[i], dist, d)
+            points[i] = dn.vmf_point(data.object_pos[i], dist, d)
     return points
 
 
@@ -529,8 +504,8 @@ def _concat_grasp_sets(a, b):
                              for f in fields))
 
 
-def train_graspability(model, train, test, epochs, lr=1e-3, seed=0, batch=32,
-                       lambda_d=1.0, augment_reflect=False):
+def train_graspability(model, train, test, epochs, lr=1e-3, seed=0,
+                       augment_reflect=False):
     """Train a graspability posterior; returns (curve, metrics).
 
     Metrics report the MSE between the predicted 3D point (Gaussian
@@ -546,11 +521,10 @@ def train_graspability(model, train, test, epochs, lr=1e-3, seed=0, batch=32,
                                    train.obj_rel[idx])
         if model.posterior == "gaussian":
             return dn.gaussian_nll_graph(raw, train.wrist_rel[idx])
-        return dn.vmf_loss_graph(raw, train.direction[idx], train.distance[idx],
-                                 lambda_d)
+        return dn.vmf_loss_graph(raw, train.direction[idx], train.distance[idx])
 
     curve = ad.minibatch_adam(model.store, len(train), _tape_step(batch_loss),
-                              epochs, lr, seed, batch)
+                              epochs, lr, seed, 32)
     metrics = {"train": evaluate_graspability(model, train),
                "test": evaluate_graspability(model, test)}
     return curve, metrics
@@ -563,12 +537,6 @@ def evaluate_graspability(model, data):
 
 # ---------------------------------------------------------------------------
 # heuristic baselines and the valid-region metric
-
-
-def place_baseline(plane, objects, pelvis_xy, object_radius):
-    """Closest valid cell center to the human's plane-frame projection."""
-    return _place_baseline_on_grid(sc.plane_feature_stack(plane, objects), plane,
-                                   plane.to_plane_frame(pelvis_xy), object_radius)
 
 
 def _row_geometry(data, i):

@@ -43,7 +43,7 @@ class ParamStore:
     """Collection of named parameter tensors with per-tensor trainable flags.
 
     A tensor's ``requires_grad`` equals its ``trainable`` flag: ``add``,
-    ``load``, ``merge_from`` and ``freeze`` set both.  Backward passes
+    ``load`` and ``merge_from`` set both.  Backward passes
     therefore give only trainable tensors a ``grad``; frozen tensors keep
     ``grad`` at None, cost the backward pass nothing, and are never
     touched by :meth:`adam_step`.
@@ -73,11 +73,6 @@ class ParamStore:
     def names(self):
         return list(self.params)
 
-    def freeze(self, name):
-        self.trainable[name] = False
-        self.params[name].requires_grad = False
-        self.params[name].grad = None
-
     def zero_grad(self):
         for t in self.params.values():
             t.zero_grad()
@@ -105,39 +100,36 @@ class ParamStore:
             for g in grads:
                 g *= scale
 
-    def num_params(self, prefix=""):
-        return sum(t.values.size for n, t in self.params.items()
-                   if n.startswith(prefix))
-
     # initializers -----------------------------------------------------
 
-    def glorot(self, name, shape, fan_in, fan_out, rng, trainable=True):
+    def glorot(self, name, shape, fan_in, fan_out, rng):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        return self.add(name, rng.uniform(-limit, limit, size=shape), trainable)
+        return self.add(name, rng.uniform(-limit, limit, size=shape))
 
-    def dense_layer(self, name, n_in, n_out, rng, trainable=True):
-        w = self.glorot(name + "/w", (n_in, n_out), n_in, n_out, rng, trainable)
-        b = self.add(name + "/b", np.zeros(n_out), trainable)
+    def dense_layer(self, name, n_in, n_out, rng):
+        w = self.glorot(name + "/w", (n_in, n_out), n_in, n_out, rng)
+        b = self.add(name + "/b", np.zeros(n_out))
         return w, b
 
-    def conv_layer(self, name, kh, kw, c_in, c_out, rng, trainable=True):
+    def conv_layer(self, name, kh, kw, c_in, c_out, rng):
         fan_in = kh * kw * c_in
         fan_out = kh * kw * c_out
-        k = self.glorot(name + "/k", (kh, kw, c_in, c_out), fan_in, fan_out,
-                        rng, trainable)
-        b = self.add(name + "/b", np.zeros(c_out), trainable)
+        k = self.glorot(name + "/k", (kh, kw, c_in, c_out), fan_in, fan_out, rng)
+        b = self.add(name + "/b", np.zeros(c_out))
         return k, b
 
     # optimization -----------------------------------------------------
 
-    def adam_step(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        """One Adam update over trainable tensors with populated gradients.
+    def adam_step(self, lr):
+        """One Adam update over trainable tensors with populated gradients,
+        with b1 = 0.9, b2 = 0.999 and eps = 1e-8.
 
         Every gradient is checked before any tensor changes.  The update
         runs in two shared scratch buffers, in the operation order of
         ``m += (1 - b1) * (g - m)``, ``v += (1 - b2) * (g**2 - v)`` and
         ``w -= lr * (m / c1) / (sqrt(v / c2) + eps)``.
         """
+        beta1, beta2, eps = 0.9, 0.999, 1e-8
         for name, t in self.params.items():
             if t.grad is not None and not np.isfinite(t.grad).all():
                 raise OptimizerError(f"non-finite gradient on {name!r}")
@@ -176,12 +168,11 @@ class ParamStore:
     #   per record: u16 name length, name utf-8, u8 trainable,
     #               u8 ndim, ndim x u32 dims, float64 row-major payload
 
-    def save(self, path, prefix=""):
-        names = [n for n in self.params if n.startswith(prefix)]
+    def save(self, path):
         with open(path, "wb") as f:
             f.write(CHECKPOINT_MAGIC)
-            f.write(struct.pack("<I", len(names)))
-            for n in names:
+            f.write(struct.pack("<I", len(self.params)))
+            for n in self.params:
                 t = self.params[n]
                 nb = n.encode()
                 f.write(struct.pack("<H", len(nb)))

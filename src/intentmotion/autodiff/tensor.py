@@ -31,8 +31,7 @@ class AutodiffError(Exception):
 class Tensor:
     __slots__ = ("values", "grad", "parents", "op", "_backward", "requires_grad")
 
-    def __init__(self, values, parents=(), op="leaf", backward=None,
-                 requires_grad=True):
+    def __init__(self, values, parents=(), op="leaf", requires_grad=True):
         """``requires_grad`` sets a leaf's flag; an op output's flag is the
         OR of its parents' flags, and only those parents are kept."""
         self.values = np.asarray(values, dtype=np.float64)
@@ -44,7 +43,7 @@ class Tensor:
             self.parents = ()
             self.requires_grad = bool(requires_grad)
         self.op = op
-        self._backward = backward
+        self._backward = None
 
     @property
     def shape(self):
@@ -68,34 +67,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.values.shape})"
-
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, key):
         return take(self, key)
@@ -400,10 +371,10 @@ def sum_(a, axis=None, keepdims=False):
     return out
 
 
-def mean(a, axis=None, keepdims=False):
+def mean(a, axis=None):
     a = _as_tensor(a)
     n = a.values.size if axis is None else a.values.shape[axis]
-    return mul(sum_(a, axis=axis, keepdims=keepdims), 1.0 / n)
+    return mul(sum_(a, axis=axis), 1.0 / n)
 
 
 def sum_sq(a):

@@ -139,14 +139,10 @@ def mdn_heads(raw):
     return alpha, comp[..., 1:3], sigma
 
 
-def mdn_head(raw, m=None):
+def mdn_head(raw):
     """Raw head output (5m,) -> valid MixtureDensity2D."""
     alpha, mu, sigma = mdn_heads(np.reshape(raw, (1, -1)))
     return MixtureDensity2D(alpha=alpha[0], mu=mu[0], sigma=sigma[0])
-
-
-def mdn_expected(dist):
-    return (dist.alpha[:, None] * dist.mu).sum(axis=0)
 
 
 def mdn_top_component(dist):
@@ -168,11 +164,6 @@ def mdn_responsible_component(dist, x, spread):
     return int(np.argmax(score))
 
 
-def mdn_sample(dist, rng):
-    i = rng.choice(dist.m, p=dist.alpha)
-    return dist.mu[i] + dist.sigma[i] * rng.standard_normal(2)
-
-
 def mdn_nll_graph(raw, x):
     """Mean floored NLL of ground truth ``x`` (N, 2) under raw heads (N, 5m)."""
     n = raw.values.shape[0]
@@ -190,14 +181,6 @@ def mdn_nll_graph(raw, x):
     log_terms = ad.add(log_alpha, log_comp)
     log_pdf = ad.logsumexp(log_terms, axis=-1, extra_const=PDF_FLOOR)
     return ad.mean(ad.mul(log_pdf, -1.0))
-
-
-def mdn_alpha_mu_graph(raw):
-    """(alpha (N, m), mu (N, m, 2)) tape views of raw heads, for penalties."""
-    n = raw.values.shape[0]
-    m = raw.values.shape[1] // 5
-    comp = ad.reshape(raw, (n, m, 5))
-    return ad.softmax(comp[:, :, 0], axis=-1), comp[:, :, 1:3]
 
 
 # ---------------------------------------------------------------------------
@@ -303,11 +286,11 @@ def vmf_point(object_position, dist, distance):
     return np.asarray(object_position, dtype=float) + distance * dist.mu
 
 
-def vmf_loss(dist, distance, true_dir, true_dist, lambda_d=1.0):
-    return -vmf_logpdf(dist, true_dir) + lambda_d * (distance - true_dist) ** 2
+def vmf_loss(dist, distance, true_dir, true_dist):
+    return -vmf_logpdf(dist, true_dir) + (distance - true_dist) ** 2
 
 
-def vmf_loss_graph(raw, true_dir, true_dist, lambda_d=1.0):
+def vmf_loss_graph(raw, true_dir, true_dist):
     """Mean vMF NLL at the true direction plus squared distance error.
 
     ``raw``: (N, 5) tape tensor; true_dir (N, 3) unit rows; true_dist
@@ -323,16 +306,17 @@ def vmf_loss_graph(raw, true_dir, true_dist, lambda_d=1.0):
     nll = ad.mul(ad.add(log_c, ad.mul(kappa, dot)), -1.0)
     dist = ad.softplus(raw[:, 4])
     derr = ad.sub(dist, np.asarray(true_dist))
-    return ad.mean(ad.add(nll, ad.mul(ad.mul(derr, derr), lambda_d)))
+    return ad.mean(ad.add(nll, ad.mul(derr, derr)))
 
 
 # ---------------------------------------------------------------------------
 # heatmap export (Fig.-6-style density-over-time inspection)
 
 
-def density_heatmap(dist, extent, resolution=96):
-    """Evaluate the mixture density on a (resolution x resolution) grid
-    covering a centered plane extent (width, depth)."""
+def density_heatmap(dist, extent):
+    """Evaluate the mixture density on a 96 x 96 grid covering a centered
+    plane extent (width, depth)."""
+    resolution = 96
     w, d = extent
     xs = np.linspace(-w / 2, w / 2, resolution)
     ys = np.linspace(-d / 2, d / 2, resolution)
@@ -344,9 +328,9 @@ def density_heatmap(dist, extent, resolution=96):
     return grid
 
 
-def export_heatmap(dist, extent, path_prefix, resolution=96):
+def export_heatmap(dist, extent, path_prefix):
     """Write the density grid as CSV and 8-bit binary PGM."""
-    grid = density_heatmap(dist, extent, resolution)
+    grid = density_heatmap(dist, extent)
     csv_path = f"{path_prefix}.csv"
     np.savetxt(csv_path, grid, delimiter=",", fmt="%.9g")
     peak = grid.max()
@@ -354,6 +338,6 @@ def export_heatmap(dist, extent, path_prefix, resolution=96):
         np.round(255 * grid / peak).astype(np.uint8)
     pgm_path = f"{path_prefix}.pgm"
     with open(pgm_path, "wb") as f:
-        f.write(f"P5\n{resolution} {resolution}\n255\n".encode())
+        f.write(f"P5\n{grid.shape[1]} {grid.shape[0]}\n255\n".encode())
         f.write(img.tobytes())
     return csv_path, pgm_path

@@ -15,7 +15,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import traceback
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -405,11 +405,15 @@ def write_metrics_csv(bundle, path):
                         f"{m[split]['mse']:.6f}\n")
 
 
-def export_heatmaps(model, episode, path_prefix, offsets=(4.0, 1.0, 0.5)):
-    """Pre-place mixture density heatmaps (PGM + CSV) for one episode."""
-    place = [e for e in episode.events if e.kind == "place"][0]
+def export_heatmaps(model, episode, path_prefix):
+    """Pre-place mixture density heatmaps (PGM + CSV) for one episode, 4, 1
+    and 0.5 s before its first place event; ValueError if it has none."""
+    place = next((e for e in episode.events if e.kind == "place"), None)
+    if place is None:
+        raise ValueError(f"episode {episode.index} of persona {episode.persona} "
+                         f"has no place event to export heatmaps for")
     paths = []
-    for offset in offsets:
+    for offset in (4.0, 1.0, 0.5):
         qf = episode.frame_at(place.time - offset)
         if qf - ds.OBS_FRAMES + 1 < 0:
             continue

@@ -22,8 +22,6 @@ import numpy as np
 
 from .. import __version__
 from .. import affordance as af
-from .. import densities as dn
-from .. import scene as sc
 from .. import trajopt as tj
 from ..autodiff import OptimizerError, ParamStore
 from . import benchmark as bm
@@ -43,7 +41,9 @@ class _Parser(argparse.ArgumentParser):
 def load_config(args):
     """BenchmarkConfig from ``--config`` and ``--seed``; a config file that
     is not a JSON object of known keys with values of the defaults' types,
-    or that sets an ``*_epochs`` key below 1, raises UsageError."""
+    that sets an ``*_epochs`` key or ``eval_episode_cap`` below 1, or that
+    names a ``goal_variant`` outside ``affordance.PLACE_VARIANTS``, raises
+    UsageError."""
     values = {}
     if args.config:
         with open(args.config) as f:
@@ -63,9 +63,13 @@ def load_config(args):
             if not isinstance(value, want) or isinstance(value, bool):
                 raise UsageError(f"config key {key!r} must be "
                                  f"{types[key].__name__}, got {value!r}")
-            if key.endswith("_epochs") and value < 1:
+            if (key.endswith("_epochs") or key == "eval_episode_cap") \
+                    and value < 1:
                 raise UsageError(f"config key {key!r} must be at least 1, "
                                  f"got {value!r}")
+            if key == "goal_variant" and value not in af.PLACE_VARIANTS:
+                raise UsageError(f"config key 'goal_variant' must be one of "
+                                 f"{af.PLACE_VARIANTS}, got {value!r}")
     if args.seed is not None:
         values["seed"] = args.seed
     return bm.BenchmarkConfig(**values)

@@ -16,7 +16,7 @@ persona, never by episode).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,9 +132,9 @@ def _moving_average(x, size):
     return np.cumsum(steps, axis=0)[size - 1:] / size
 
 
-def _smooth_noise(rng, frames, scale, width=9):
+def _smooth_noise(rng, frames, scale):
     raw = rng.normal(size=(frames, 3))
-    return scale * _moving_average(raw, width)
+    return scale * _moving_average(raw, 9)
 
 
 def _place_distractors(rng, count):
@@ -147,9 +147,8 @@ def _place_distractors(rng, count):
     """
     objects = []
 
-    def try_place(k, lo, hi, otype=None):
-        if otype is None:
-            otype = rng.choice(sc.MOVABLE_TYPES)
+    def try_place(k, lo, hi):
+        otype = rng.choice(sc.MOVABLE_TYPES)
         ext = OBJECT_EXTENTS[otype]
         grid = sc.plane_feature_stack(TABLE, objects)  # objects fixed until placed
         for _ in range(40):
@@ -160,8 +159,7 @@ def _place_distractors(rng, count):
                     (TABLE.frame_origin[0] + p[0], TABLE.frame_origin[1] + p[1],
                      TABLE.height),
                     rng.uniform(0, np.pi), ext))
-                return True
-        return False
+                return
 
     # clutter fills the table middle and the dead zones between seats, so
     # an uninformed "somewhere open" guess rarely lands on free area; the
@@ -379,10 +377,10 @@ def _skeleton(rng, pelvis, heading, wrist, noise):
     return joints
 
 
-def generate_episode(config, persona_id, index, max_attempts=20):
-    """One feasible episode; regenerates on infeasible scenes."""
+def generate_episode(config, persona_id, index):
+    """One feasible episode; regenerates an infeasible scene up to 20 times."""
     notes = []
-    for attempt in range(max_attempts):
+    for attempt in range(20):
         episode, reason = _attempt_episode(config, persona_id, index, attempt)
         if episode is not None:
             return episode
@@ -443,8 +441,9 @@ def episode_from_jsonl(text):
     type is not scene, frame or events, a missing scene or events record,
     frame arrays that are ragged, of the wrong shape or not finite, a
     scene object whose position is not 3-d or whose footprint is not 2-d,
-    an event whose time or 3-d point is not finite, and an unknown target
-    type or source surface.
+    an event whose time or 3-d point is not finite, an event whose time
+    falls on no frame (``Episode.frame_at`` outside ``[0, len - 1]``), and
+    an unknown target type or source surface.
     """
     joints, track, times = [], [], []
     head = events = None
@@ -506,5 +505,11 @@ def episode_from_jsonl(text):
         raise ValueError(f"episode JSONL has unknown target type "
                          f"{fields_['target_type']!r} or source surface "
                          f"{fields_['source_surface']!r}")
-    return Episode(timestamps=timestamps, joints=joints, object_track=track,
-                   objects=objects, events=events, **fields_)
+    episode = Episode(timestamps=timestamps, joints=joints, object_track=track,
+                      objects=objects, events=events, **fields_)
+    for e in events:
+        # the first test keeps time / DT finite for frame_at's int()
+        if not (abs(e.time) <= n * DT and 0 <= episode.frame_at(e.time) < n):
+            raise ValueError(f"episode JSONL {e.kind!r} event at {e.time} s "
+                             f"falls outside the {n} frames")
+    return episode

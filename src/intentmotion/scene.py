@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -337,14 +337,3 @@ def scene_from_json(text):
         for o in doc["objects"]
     ]
     return planes, objects
-
-
-def export_grid_csv(grid, path_prefix):
-    """One CSV per channel, 24 rows by 24 comma-separated values."""
-    paths = []
-    for name, channel in (("occupancy", grid.occupancy), ("pos_x", grid.pos_x),
-                          ("pos_y", grid.pos_y), ("sdf", grid.sdf)):
-        path = f"{path_prefix}_{name}.csv"
-        np.savetxt(path, channel, delimiter=",", fmt="%.9g")
-        paths.append(path)
-    return paths

@@ -43,7 +43,7 @@ the numpy path is tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,7 +97,7 @@ def _gru_step(store, x, h):
     return ad.add(ad.mul(ad.sub(1.0, z), h), ad.mul(z, hh))
 
 
-def _warmup(predictor, observed, batch=1):
+def _warmup(predictor, observed):
     """Run the observed frames through the cell; returns (h, s, v) tensors."""
     store = predictor.store
     obs = np.asarray(observed, dtype=float)
@@ -350,8 +350,7 @@ def _gradient(g):
     return g() if callable(g) else g
 
 
-def lbfgs_minimize(objective, x0, memory=10, max_iters=100, tol=1e-6,
-                   armijo_c1=1e-4, shrink=0.5, max_backtracks=30):
+def lbfgs_minimize(objective, x0, max_iters=100, tol=1e-6):
     """Minimize a differentiable objective over a flat vector.
 
     ``objective(x) -> (value, gradient)``.  The gradient is an array or a
@@ -359,7 +358,9 @@ def lbfgs_minimize(objective, x0, memory=10, max_iters=100, tol=1e-6,
     needs only the value at a trial point, so a function is called only
     at the starting point and at each accepted step, never at a rejected
     trial, and the gradient of a trial the objective knows the search
-    rejects may be None.  Both forms give the same iterates.
+    rejects may be None.  Both forms give the same iterates.  The method
+    keeps 10 curvature pairs; the line search halves the step from 1 up
+    to 30 times until the Armijo condition with c1 = 1e-4 holds.
 
     Returns (x_best, history) where history carries the monotone
     objective sequence, iteration count, the number of objective calls
@@ -402,13 +403,13 @@ def lbfgs_minimize(objective, x0, memory=10, max_iters=100, tol=1e-6,
         t = 1.0
         gd = g @ d
         accepted = False
-        for _ in range(max_backtracks):
+        for _ in range(30):
             f_new, g_new = objective(x + t * d)
             evaluations += 1
-            if np.isfinite(f_new) and f_new <= f + armijo_c1 * t * gd:
+            if np.isfinite(f_new) and f_new <= f + 1e-4 * t * gd:
                 accepted = True
                 break
-            t *= shrink
+            t *= 0.5
         if not accepted:  # no step taken: count accepted steps only
             status = "line_search_failure"
             iters -= 1
@@ -420,7 +421,7 @@ def lbfgs_minimize(objective, x0, memory=10, max_iters=100, tol=1e-6,
         curv = step @ y_vec
         if curv > 1e-10 * np.linalg.norm(step) * np.linalg.norm(y_vec):
             pairs.append((step, y_vec, 1.0 / (y_vec @ step)))
-            if len(pairs) > memory:
+            if len(pairs) > 10:
                 pairs.pop(0)
         else:
             # negative curvature: the quasi-Newton model is unusable, so
@@ -437,8 +438,7 @@ def lbfgs_minimize(objective, x0, memory=10, max_iters=100, tol=1e-6,
 
 
 def predict_fullbody(predictor, observed, goal, goal_mode="place", alpha1=1.0,
-                     alpha2=10.0, horizon=HORIZON, wrist_index=sc.R_WRIST,
-                     max_iters=60, tol=1e-6):
+                     alpha2=10.0, horizon=HORIZON, max_iters=60):
     """Optimize controls so the rollout's wrist ends at the goal.
 
     A place goal is aimed at ``HOVER_OFFSET`` above ``goal``, a grasp goal
@@ -462,7 +462,7 @@ def predict_fullbody(predictor, observed, goal, goal_mode="place", alpha1=1.0,
     if goal_mode == "place":
         target[2] += HOVER_OFFSET
     shape = (horizon, predictor.state_dim)
-    lo = 3 * wrist_index
+    lo = 3 * sc.R_WRIST
     start = warm_start(predictor, observed)
 
     # the last rolled-out controls and their states, the number of
@@ -481,7 +481,7 @@ def predict_fullbody(predictor, observed, goal, goal_mode="place", alpha1=1.0,
         # deferred=True, passed by position: L-BFGS runs the adjoint only
         # at the points it accepts
         value, grad, last["traj"] = goal_objective(
-            predictor, start, delta, target, alpha1, alpha2, wrist_index, True)
+            predictor, start, delta, target, alpha1, alpha2, sc.R_WRIST, True)
         last["x"] = x.tobytes()
         last["rollouts"] += 1
 
@@ -491,7 +491,7 @@ def predict_fullbody(predictor, observed, goal, goal_mode="place", alpha1=1.0,
         return value, gradient
 
     x_star, history = lbfgs_minimize(objective, np.zeros(shape).ravel(),
-                                     max_iters=max_iters, tol=tol)
+                                     max_iters=max_iters)
     delta_star = x_star.reshape(shape)
     if last["x"] == x_star.tobytes():
         traj = last["traj"]
@@ -520,8 +520,7 @@ def zero_velocity_baseline(observed, horizon):
 
 
 def train_predictor(windows, epochs, lr=1e-3, seed=0, batch=32,
-                    observed=OBSERVED_FRAMES, ramp_epochs=None,
-                    clip_norm=1.0):
+                    observed=OBSERVED_FRAMES, ramp_epochs=None):
     """Train the recurrent predictor on (N, 50, 39) windows.
 
     The first ``observed`` frames warm up the hidden state; the rest are
@@ -529,7 +528,7 @@ def train_predictor(windows, epochs, lr=1e-3, seed=0, batch=32,
     with a probability ramping linearly from 0 (teacher forced) to 1
     (self-fed) over ``ramp_epochs`` (default: half the epochs).  The
     batches run through ``autodiff.minibatch_adam`` with the gradients
-    clipped to the global norm ``clip_norm``; a non-finite loss raises
+    clipped to the global norm 1; a non-finite loss raises
     TrainingError.  Returns (predictor, per-epoch MSE curve); the
     predictor's store ends without gradients or Adam moments
     (``ParamStore.end_training``).
@@ -557,7 +556,7 @@ def train_predictor(windows, epochs, lr=1e-3, seed=0, batch=32,
                 store[name].grad = g
         return float(loss), write_grads
 
-    curve = ad.minibatch_adam(store, n, step, epochs, lr, seed, batch, clip_norm)
+    curve = ad.minibatch_adam(store, n, step, epochs, lr, seed, batch, 1.0)
     return predictor, curve
 
 
@@ -675,8 +674,7 @@ def _errors(pred, truth):
     return body, wrist
 
 
-def evaluate_prediction(predictor, problems, methods=METHODS, alpha1=1.0,
-                        alpha2=10.0, max_iters=60):
+def evaluate_prediction(predictor, problems, methods=METHODS):
     """Per-timestep error table over goal-constrained place episodes.
 
     Each problem dict needs: observed (20, 39), future (30, 39), and
@@ -710,13 +708,11 @@ def evaluate_prediction(predictor, problems, methods=METHODS, alpha1=1.0,
         if "ours" in methods:
             preds["ours"], _, _ = predict_fullbody(
                 predictor, observed, prob["goals"]["affordance"],
-                goal_mode="place", alpha1=alpha1, alpha2=alpha2,
-                max_iters=max_iters)
+                goal_mode="place")
         if "oracle" in methods:
             preds["oracle"], _, _ = predict_fullbody(
                 predictor, observed, prob["goals"]["oracle"],
-                goal_mode="grasp", alpha1=alpha1, alpha2=alpha2,
-                max_iters=max_iters)
+                goal_mode="grasp")
         for m in methods:
             body, wrist = _errors(preds[m], future[:HORIZON])
             sums[m]["body"] += body[frame_idx]

@@ -19,7 +19,7 @@ import intentmotion.autodiff as ad
 import intentmotion.densities as dn
 import intentmotion.scene as sc
 import intentmotion.trajopt as tj
-from intentmotion.autodiff import Tensor, grad_check
+from intentmotion.autodiff import grad_check
 from intentmotion.harness import benchmark as bm
 from intentmotion.harness import cli
 from intentmotion.harness import datasets as ds

@@ -185,6 +185,11 @@ def test_episode_from_jsonl_named_faults(episode_records):
         (edited(-1, lambda r: place(r).update(point=[0.5, -0.1])),
          "3-d point"),
         (edited(-1, lambda r: place(r).update(time=math.inf)), "finite time"),
+        # frame_at(len * DT) is len, one past the last frame
+        (edited(-1, lambda r: place(r).update(
+            time=(len(episode_records) - 2) * gen.DT)), "falls outside the"),
+        (edited(-1, lambda r: place(r).update(time=-1.0)), "falls outside the"),
+        (edited(-1, lambda r: place(r).update(time=1e308)), "falls outside the"),
         (edited(0, lambda r: r.update(target_type="spoon")),
          "unknown target type 'spoon'"),
         (edited(0, lambda r: r.update(persona="3")), "must be integers"),

@@ -313,13 +313,18 @@ def test_cli_gen_data_deterministic(tmp_path):
     assert m1["seed"] == 7
 
 
-def test_cli_usage_errors(tmp_path):
+def test_cli_usage_errors(tmp_path, capsys):
     assert cli.main(["no-such-command"]) == 1
     assert cli.main(["gen-data", "--no-such-flag"]) == 1
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"flux_capacitor": 1}))
-    assert cli.main(["gen-data", "--out", str(tmp_path / "o"),
-                     "--config", str(bad)]) == 1
+    for key, value in (("flux_capacitor", 1), ("goal_variant", "bogus"),
+                       ("eval_episode_cap", 0), ("eval_episode_cap", -1)):
+        capsys.readouterr()
+        bad.write_text(json.dumps({key: value}))
+        assert cli.main(["gen-data", "--out", str(tmp_path / "o"),
+                         "--config", str(bad)]) == 1
+        assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 EPOCH_KEY_COMMANDS = {"autoencoder_epochs": ["train-autoencoder"],
@@ -341,6 +346,28 @@ def test_cli_zero_epochs_is_a_usage_error(tmp_path, capsys, key):
                                                "--config", str(bad)]) == 1
     assert repr(key) in capsys.readouterr().err
     assert not (tmp_path / "out" / "checkpoints").exists()
+
+
+def test_cli_export_heatmap_without_place_event_exits_2(tmp_path, capsys):
+    cfg = tiny_config(tmp_path)
+    out = tmp_path / "out"
+    base = ["--seed", "5", "--out", str(out), "--config", cfg]
+    assert cli.main(["gen-data"] + base) == 0
+    assert cli.main(["train-place", "--variant", "plain"] + base) == 0
+    path = sorted((out / "episodes" / "test").glob("*.jsonl"))[0]
+    lines = path.read_text().splitlines()
+    events = json.loads(lines[-1])
+    events["events"] = [e for e in events["events"] if e["kind"] != "place"]
+    path.write_text("\n".join(lines[:-1] + [json.dumps(events)]) + "\n")
+    assert cli.main(["export-heatmap", "--variant", "plain"] + base) == 2
+    err = capsys.readouterr().err
+    assert "has no place event" in err and "Traceback" not in err
+    # eval's report reaches the same export through run_benchmark
+    episode = cli.load_episodes(str(out), "test")[0]
+    model = cli._load_place_model(str(out), "plain")
+    with pytest.raises(ValueError, match=f"episode {episode.index} of persona "
+                                         f"{episode.persona} has no place"):
+        bm.export_heatmaps(model, episode, str(tmp_path / "h"))
 
 
 def test_cli_eval_without_checkpoints(tmp_path, capsys):

@@ -323,10 +323,3 @@ class TestSerialization:
         planes2, objs2 = sc.scene_from_json(text)
         assert planes2[0] == table
         assert objs2 == objs
-
-    def test_grid_csv_export(self, table, tmp_path):
-        grid = sc.plane_feature_stack(table, [cup(0.0, 0.0)])
-        paths = sc.export_grid_csv(grid, str(tmp_path / "g"))
-        assert len(paths) == 4
-        loaded = np.loadtxt(paths[3], delimiter=",")
-        np.testing.assert_allclose(loaded, grid.sdf, atol=1e-6)
