@@ -24,7 +24,7 @@ print(f"NLL curve: {curve[0]:.3f} -> {curve[-1]:.3f}")
 print(f"test MSE {metrics['test']['mse']:.4f} vs "
       f"baseline {af.baseline_place_mse(place_test):.4f}")
 
-rates = af.valid_region_rate(model, place_test)
+rates = metrics["test"]["valid_region"]
 print("valid-region rate by offset:",
       {f"{k:g}s": round(v, 2) for k, v in sorted(rates.items(), reverse=True)})
 

@@ -381,10 +381,17 @@ def _set_heads(model, data, batch, conv_map=None):
 
 
 def evaluate_placeability(model, data, batch=256, conv_map=None):
-    """Mean NLL and MSE (predicted placement vs ground truth) over a set.
+    """Mean NLL, MSE (predicted placement vs ground truth) and valid-region
+    rate over a set.
 
     The predicted placement is the mean of the most probable mixture
-    component, matching the point scored by ``valid_region_rate``.
+    component: when the posterior is still multimodal (e.g. several
+    candidate seats), the weighted average of the modes falls between
+    them and is not a placement anyone would choose.  ``valid_region``
+    maps each value of the ``offset`` column (seconds before the place
+    event) to the fraction of its rows whose predicted placement is valid
+    with the row's object radius of clearance.
+
     ``conv_map``, when given, is ``encoder_conv_map`` of all of ``data``'s
     rows and stands in for their features in the encoder; the latent
     projection still runs on ``batch`` rows at a time, so the metrics do
@@ -392,8 +399,13 @@ def evaluate_placeability(model, data, batch=256, conv_map=None):
     """
     alpha, mu, sigma = _set_heads(model, data, batch, conv_map)
     nll = dn.mdn_nlls(alpha, mu, sigma, data.label)
-    se = ((_top_means(alpha, mu) - data.label) ** 2).sum(axis=-1)
-    return {"nll": float(np.mean(nll)), "mse": float(np.mean(se))}
+    top = _top_means(alpha, mu)
+    se = ((top - data.label) ** 2).sum(axis=-1)
+    ok = sc.valid_placement_rows(top, data.half_extent, data.radius, data.sdf,
+                                 data.cell_size)
+    return {"nll": float(np.mean(nll)), "mse": float(np.mean(se)),
+            "valid_region": {float(o): float(np.mean(ok[data.offset == o]))
+                             for o in np.unique(data.offset)}}
 
 
 # ---------------------------------------------------------------------------
@@ -573,25 +585,6 @@ def _place_baseline_on_grid(grid, plane, pelvis_plane_xy, radius):
         raise SurfaceFullError(
             f"no valid cell on {plane.surface_type} at radius {radius}")
     return cells[k]
-
-
-def valid_region_rate(model, data, batch=256):
-    """Fraction of predicted placements in the valid region, per offset.
-
-    The predicted placement is the mean of the most probable mixture
-    component: when the posterior is still multimodal (e.g. several
-    candidate seats), the weighted average of the modes falls between
-    them and is not a placement anyone would choose.
-
-    ``data`` is a PlaceabilitySet whose ``offset`` column holds seconds
-    before the place event; each placement needs its sample's object
-    radius of clearance.
-    """
-    alpha, mu, _ = _set_heads(model, data, batch)
-    ok = sc.valid_placement_rows(_top_means(alpha, mu), data.half_extent,
-                                 data.radius, data.sdf, data.cell_size)
-    return {float(o): float(np.mean(ok[data.offset == o]))
-            for o in np.unique(data.offset)}
 
 
 def compute_grasp_stats(data):

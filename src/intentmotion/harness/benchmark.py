@@ -281,7 +281,11 @@ def graspability_report(bundle, grasp_train, grasp_test):
 
 
 def valid_region_report(bundle, place_test):
-    return {v: af.valid_region_rate(bundle.place_models[v], place_test)
+    """Each variant's valid-region rates per offset, read from the test
+    metrics ``evaluate_placeability`` computed on ``place_test``; the set
+    stays a parameter for the callers that pass it (``run_benchmark``,
+    the acceptance tests, perfbench's ``train`` operation)."""
+    return {v: bundle.place_metrics[v]["test"]["valid_region"]
             for v in af.PLACE_VARIANTS}
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import importlib.metadata
 import json
 import os
 import sys
@@ -81,7 +80,15 @@ def config_hash(config):
 
 
 def write_manifest(directory, config, extra=None):
+    """Write ``directory/manifest.json``, keeping the ``episodes`` and
+    ``data_hash`` of the manifest it replaces unless ``extra`` sets them."""
     os.makedirs(directory, exist_ok=True)
+    path = os.path.join(directory, "manifest.json")
+    try:
+        with open(path) as f:
+            old = json.load(f)
+    except (OSError, ValueError):
+        old = {}
     manifest = {
         "seed": config.seed,
         "config": asdict(config),
@@ -89,13 +96,13 @@ def write_manifest(directory, config, extra=None):
         "versions": {
             "intentmotion": __version__,
             "numpy": np.__version__,
-            "scipy": importlib.metadata.version("scipy"),
             "python": ".".join(map(str, sys.version_info[:3])),
         },
     }
+    if isinstance(old, dict):
+        manifest.update({k: old[k] for k in ("episodes", "data_hash") if k in old})
     if extra:
         manifest.update(extra)
-    path = os.path.join(directory, "manifest.json")
     with open(path, "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -118,8 +125,12 @@ def load_episodes(out, split):
     episodes = []
     for name in sorted(os.listdir(directory)):
         if name.endswith(".jsonl"):
-            with open(os.path.join(directory, name)) as f:
-                episodes.append(gen.episode_from_jsonl(f.read()))
+            path = os.path.join(directory, name)
+            try:
+                with open(path) as f:
+                    episodes.append(gen.episode_from_jsonl(f.read()))
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
     if not episodes:
         raise FileNotFoundError(f"no episode files in {directory}")
     return episodes

@@ -415,8 +415,7 @@ def episode_to_jsonl(episode):
         "type": "scene", "persona": episode.persona, "index": episode.index,
         "target_type": episode.target_type,
         "source_surface": episode.source_surface,
-        "scene": json.loads(sc.scene_to_json(list(PLANES.values()),
-                                             episode.objects)),
+        "scene": sc.scene_to_dict(list(PLANES.values()), episode.objects),
     }, sort_keys=True)]
     for i in range(len(episode)):
         lines.append(json.dumps({
@@ -475,7 +474,7 @@ def episode_from_jsonl(text):
     if events is None:
         raise ValueError("episode JSONL has no events record")
     try:
-        _, objects = sc.scene_from_json(json.dumps(head["scene"]))
+        _, objects = sc.scene_from_dict(head["scene"])
         fields_ = {k: head[k] for k in
                    ("persona", "index", "target_type", "source_surface")}
         timestamps = np.array(times, dtype=float)

@@ -15,7 +15,6 @@ conservatively with the smaller factor.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -295,8 +294,10 @@ def valid_placement_rows(points, half_extent, clearance_radius, sdf, cell_size):
 # serialization
 
 
-def scene_to_json(planes, objects):
-    doc = {
+def scene_to_dict(planes, objects):
+    """The scene as a JSON-ready dict of lists, strings and numbers;
+    ``scene_from_dict`` reads it back."""
+    return {
         "planes": [
             {
                 "surface_type": pl.surface_type,
@@ -317,11 +318,11 @@ def scene_to_json(planes, objects):
             for o in objects
         ],
     }
-    return json.dumps(doc, sort_keys=True)
 
 
-def scene_from_json(text):
-    doc = json.loads(text)
+def scene_from_dict(doc):
+    """(planes, objects) of a ``scene_to_dict`` dict; a missing field
+    raises KeyError, a value of the wrong kind TypeError."""
     planes = [
         SupportPlane(surface_type=p["surface_type"],
                      frame_origin=tuple(p["frame_origin"]),

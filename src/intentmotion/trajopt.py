@@ -18,12 +18,12 @@ optimizer, ``warm_start`` runs the observed frames once per problem,
 ``rollout`` steps the cell over the horizon and ``rollout_adjoint``
 back-propagates through time to d(loss)/d(controls), all on 1-D vectors
 (a vector times a matrix is the same BLAS gemv call as a (1, n) row and
-gives the same bits).  The objective hands L-BFGS its gradient as a
-function over the kept rollout steps; the line search judges trial
-points by value alone, so the adjoint runs only at the start and at each
-accepted step.  ``predict_fullbody``'s objective also computes the
-control cost ``alpha1 * ||delta||^2`` first, and when it already exceeds
-the value at the last accepted point it returns it without rolling out.
+gives the same bits).  ``goal_objective``, the one numpy form of the
+objective, hands L-BFGS its gradient as a function over the kept rollout
+steps; the line search judges trial points by value alone, so the adjoint
+runs only at the start and at each accepted step.  It computes the
+control cost ``alpha1 * ||delta||^2`` first and skips the rollout when
+that exceeds its ``bound``, the value at the last accepted point.
 That keeps the bits: the full value ``fl(control + goal)`` with
 ``goal >= 0`` is at least ``control``, because rounding is monotone, and
 the Armijo threshold ``f + c1 * t * (g . d)`` is at most ``f`` on a
@@ -316,20 +316,21 @@ def rollout_adjoint(predictor, steps, grad_states):
 
 
 def goal_objective(predictor, start, delta, target, alpha1=1.0, alpha2=10.0,
-                   wrist_index=sc.R_WRIST, deferred=False):
+                   wrist_index=sc.R_WRIST, bound=np.inf):
     """alpha1 * c_lowlevel + alpha2 * c_goalset from a warm start, its
     gradient with respect to the controls, and the rolled-out states:
-    (value, (horizon, D) array, (horizon, D) states).
-
-    With ``deferred`` the gradient comes as a zero-argument function that
-    runs ``rollout_adjoint`` over the kept rollout steps when called, so a
-    caller that needs only the value (a rejected line-search trial) skips
-    the backward pass.  Both forms give the same bits.
+    (value, gradient, (horizon, D) states).  The gradient is a zero-argument
+    function that runs ``rollout_adjoint`` over the kept rollout steps and
+    returns a (horizon, D) array.  When the control cost alone exceeds
+    ``bound``, the result is (control cost, None, None) and no rollout runs.
     """
+    control = np.sum(delta * delta) * alpha1
+    if control > bound:
+        return float(control), None, None
     traj, steps = rollout(predictor, start, delta)
     lo = 3 * wrist_index
     miss = traj[-1, lo:lo + 3] - target
-    value = np.sum(delta * delta) * alpha1 + np.sum(miss * miss) * alpha2
+    value = control + np.sum(miss * miss) * alpha2
 
     def gradient():
         grad_traj = np.zeros_like(traj)
@@ -337,7 +338,7 @@ def goal_objective(predictor, start, delta, target, alpha1=1.0, alpha2=10.0,
         grad = rollout_adjoint(predictor, steps, grad_traj)
         return grad + 2.0 * alpha1 * delta
 
-    return float(value), gradient if deferred else gradient(), traj
+    return float(value), gradient, traj
 
 
 # ---------------------------------------------------------------------------
@@ -465,38 +466,27 @@ def predict_fullbody(predictor, observed, goal, goal_mode="place", alpha1=1.0,
     lo = 3 * sc.R_WRIST
     start = warm_start(predictor, observed)
 
-    # the last rolled-out controls and their states, the number of
-    # rollouts, and the value at the last point L-BFGS accepted, which it
-    # tells by asking for that point's gradient
-    last = {"rollouts": 0, "accepted": np.inf}
+    # the value and states at the last point whose gradient L-BFGS asked
+    # for, which is the point it accepted last and returns
+    last = {"rollouts": 0, "value": np.inf}
 
     def objective(x):
-        delta = x.reshape(shape)
-        control = np.sum(delta * delta) * alpha1
-        if control > last["accepted"]:
-            # the full value fl(control + goal) >= control exceeds the
-            # Armijo threshold f + c1 * t * (g . d) <= f, so the line
-            # search rejects this trial without its rollout or gradient
-            return float(control), None
-        # deferred=True, passed by position: L-BFGS runs the adjoint only
-        # at the points it accepts
-        value, grad, last["traj"] = goal_objective(
-            predictor, start, delta, target, alpha1, alpha2, sc.R_WRIST, True)
-        last["x"] = x.tobytes()
+        value, grad, traj = goal_objective(predictor, start, x.reshape(shape),
+                                           target, alpha1, alpha2, sc.R_WRIST,
+                                           last["value"])
+        if traj is None:
+            return value, None
         last["rollouts"] += 1
 
         def gradient():
-            last["accepted"] = value
+            last["value"], last["traj"] = value, traj
             return grad().ravel()
         return value, gradient
 
     x_star, history = lbfgs_minimize(objective, np.zeros(shape).ravel(),
                                      max_iters=max_iters)
     delta_star = x_star.reshape(shape)
-    if last["x"] == x_star.tobytes():
-        traj = last["traj"]
-    else:  # the last rollout was a rejected trial step's
-        traj, _ = rollout(predictor, start, delta_star)
+    traj = last["traj"]
     final_goal_dist = float(np.linalg.norm(traj[-1, lo:lo + 3] - target))
     diagnostics = {"c_goalset": final_goal_dist**2,
                    "goal_distance": final_goal_dist,

@@ -364,7 +364,7 @@ def test_baseline_place_mse_zero_on_own_predictions():
 def test_valid_region_rate_shape_and_range():
     data = make_place_set(8, seed=15)
     model = af.assemble_placeability("no-cnn", seed=15)
-    rates = af.valid_region_rate(model, data)
+    rates = af.evaluate_placeability(model, data)["valid_region"]
     assert set(rates) == {1.0, 2.0}
     for v in rates.values():
         assert 0.0 <= v <= 1.0
@@ -422,8 +422,9 @@ def per_row_flags(points, data, radius):
 
 def per_row_valid_region_rate(model, data, batch=256,
                               predict=af.placeability_predict):
-    """valid_region_rate with one is_valid_placement call per row;
-    ``predict`` gives each batch's mixtures."""
+    """``evaluate_placeability``'s valid-region rates with one
+    is_valid_placement call per row; ``predict`` gives each batch's
+    mixtures."""
     hits = {o: [] for o in np.unique(data.offset)}
     for lo in range(0, len(data), batch):
         d = data.subset(np.arange(lo, min(lo + batch, len(data))))
@@ -452,7 +453,7 @@ def test_valid_region_rate_equals_per_row_oracle(monkeypatch):
     data = make_mixed_place_set(30, seed=41)
     model = af.assemble_placeability("no-cnn", seed=41)
     for batch in (256, 7):
-        assert af.valid_region_rate(model, data, batch) == \
+        assert af.evaluate_placeability(model, data, batch)["valid_region"] == \
             per_row_valid_region_rate(model, data, batch)
 
     # crafted predictions: the top component sits at the row's crafted point
@@ -467,7 +468,7 @@ def test_valid_region_rate_equals_per_row_oracle(monkeypatch):
     # the oracle's placeability_predict reads the same crafted heads
     monkeypatch.setattr(af, "placeability_heads", heads)
     for batch in (256, 7):
-        rates = af.valid_region_rate(None, data, batch=batch)
+        rates = af.evaluate_placeability(None, data, batch=batch)["valid_region"]
         assert rates == per_row_valid_region_rate(None, data, batch=batch)
         assert 0.0 < min(rates.values()) and max(rates.values()) < 1.0
 
@@ -705,9 +706,9 @@ def test_batched_evaluation_equals_per_row_oracle(variant, batch):
     data = make_mixed_place_set(260, seed=42)
     data.traj = data.traj * 10.0  # spread the top components apart
     model = af.assemble_placeability(variant, seed=43)
-    assert af.evaluate_placeability(model, data, batch) == \
-        per_row_evaluate(model, data, batch)
-    rates = af.valid_region_rate(model, data, batch)
+    metrics = af.evaluate_placeability(model, data, batch)
+    rates = metrics.pop("valid_region")
+    assert metrics == per_row_evaluate(model, data, batch)
     assert rates == per_row_valid_region_rate(model, data, batch, per_row_dists)
     assert 0.0 < min(rates.values()) and max(rates.values()) < 1.0
     for lo in range(0, len(data), batch):

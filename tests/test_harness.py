@@ -441,7 +441,9 @@ def test_cli_jsonl_without_scene_record_exits_2(tmp_path, capsys):
     path = sorted((out / "episodes" / "train").glob("*.jsonl"))[0]
     path.write_text("".join(path.read_text().splitlines(True)[1:]))
     assert cli.main(["train-predictor"] + base) == 2
-    assert "no scene record" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "no scene record" in err
+    assert f"{path}: " in err
 
 
 def test_cli_smoke_pipeline(tmp_path):
@@ -450,6 +452,9 @@ def test_cli_smoke_pipeline(tmp_path):
     out = str(tmp_path / "out")
     base = ["--seed", "4", "--out", out, "--config", cfg]
     assert cli.main(["gen-data"] + base) == 0
+    manifest = tmp_path / "out" / "manifest.json"
+    data = {k: json.loads(manifest.read_text())[k]
+            for k in ("episodes", "data_hash")}
     assert cli.main(["train-autoencoder"] + base) == 0
     for variant in af.PLACE_VARIANTS:
         assert cli.main(["train-place", "--variant", variant] + base) == 0
@@ -457,6 +462,11 @@ def test_cli_smoke_pipeline(tmp_path):
     assert cli.main(["train-predictor"] + base) == 0
     assert cli.main(["predict", "--goal-source", "oracle"] + base) == 0
     assert cli.main(["export-heatmap"] + base) == 0
+    # predict and export-heatmap rewrite gen-data's manifest and keep its
+    # record of the data
+    rewritten = json.loads(manifest.read_text())
+    assert {k: rewritten[k] for k in data} == data
+    assert "scipy" not in rewritten["versions"]
     assert cli.main(["eval"] + base) == 0
     report = tmp_path / "out" / "report"
     for name in ("placeability.csv", "placeability.txt", "graspability.csv",

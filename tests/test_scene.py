@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -319,7 +321,9 @@ class TestSerialization:
     def test_roundtrip(self, table):
         objs = [cup(0.1, -0.1), sc.SceneObject("j", "jug", (1.6, 0.5, 1.0),
                                                0.2, (0.06, 0.06))]
-        text = sc.scene_to_json([table], objs)
-        planes2, objs2 = sc.scene_from_json(text)
+        doc = sc.scene_to_dict([table], objs)
+        # the dict survives JSON unchanged, as it does inside an episode record
+        assert json.loads(json.dumps(doc)) == doc
+        planes2, objs2 = sc.scene_from_dict(doc)
         assert planes2[0] == table
         assert objs2 == objs

@@ -184,7 +184,7 @@ def test_adjoint_matches_tape_gradient(shape_kw, wrist, horizon):
     assert value == pytest.approx(loss.item(), rel=1e-12)
     # the cell adjoint sums in the tape's order, so the gradients agree
     # bit for bit
-    assert np.array_equal(grad, d.grad)
+    assert np.array_equal(grad(), d.grad)
 
 
 @pytest.mark.parametrize("shape_kw,wrist", KERNEL_SHAPES)
@@ -195,7 +195,7 @@ def test_adjoint_matches_central_differences(shape_kw, wrist):
     def f(x):
         return tj.goal_objective(p, start, x, target, wrist_index=wrist)
 
-    _, grad, _ = f(delta)
+    grad = f(delta)[1]()
     rng = np.random.default_rng(23)
     step = 1e-6
     # the last step's controls move the wrist directly; earlier ones only
@@ -215,7 +215,8 @@ def test_predict_fullbody_returns_the_rollout_of_its_controls(monkeypatch):
     p, obs, _, _ = kernel_case({}, 25)
     goal = np.array([0.3, 0.2, 0.6])
     start = tj.warm_start(p, obs)
-    calls = {"rollout": 0, "objective": 0}
+    calls = {"rollout": 0}
+    rollouts = 0
 
     def counted(name, fn):
         def wrapper(*args):
@@ -224,33 +225,64 @@ def test_predict_fullbody_returns_the_rollout_of_its_controls(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(tj, "rollout", counted("rollout", tj.rollout))
-    monkeypatch.setattr(tj, "goal_objective", counted("objective", tj.goal_objective))
     for mode in ("place", "grasp"):
         traj, delta, diag = tj.predict_fullbody(p, obs, goal, goal_mode=mode,
                                                 max_iters=15)
+        rollouts += diag["rollouts"]
         assert np.any(delta != 0.0)
         assert np.array_equal(traj, tj.rollout(p, start, delta)[0])
-    # the returned states are the last evaluation's: no extra rollout
-    # beyond the checks above
-    assert calls["rollout"] == calls["objective"] + 2
+    # the returned states are an evaluation's: the counted rollouts are the
+    # optimizer's and the two checks above
+    assert calls["rollout"] == rollouts + 2
 
 
-def test_predict_fullbody_rolls_out_again_after_a_rejected_step(monkeypatch):
-    # an optimizer whose last evaluation is not the point it returns, as
-    # after a failed line search; the trial's control cost is below the
-    # accepted value, so it rolls out
+def test_predict_fullbody_returns_the_states_of_the_accepted_point(monkeypatch):
+    # an optimizer whose last evaluation is a trial it rejects, as after a
+    # failed line search; the trial's control cost is below the accepted
+    # value, so it rolls out, but its gradient is never asked for
     p, obs, _, _ = kernel_case({}, 26)
-    real = tj.lbfgs_minimize
+    real_lbfgs, real_rollout = tj.lbfgs_minimize, tj.rollout
+    after = []
 
     def lbfgs(objective, x0, **kwargs):
-        x, history = real(objective, x0, **kwargs)
-        objective(x * 0.5)
+        x, history = real_lbfgs(objective, x0, **kwargs)
+        assert objective(x * 0.5)[1] is not None  # it rolled out
+        after.append(0)
         return x, history
 
+    def rollout(*args):
+        if after:
+            after[0] += 1
+        return real_rollout(*args)
+
     monkeypatch.setattr(tj, "lbfgs_minimize", lbfgs)
-    traj, delta, _ = tj.predict_fullbody(p, obs, [0.3, 0.2, 0.6], max_iters=5)
+    monkeypatch.setattr(tj, "rollout", rollout)
+    traj, delta, diag = tj.predict_fullbody(p, obs, [0.3, 0.2, 0.6], max_iters=5)
+    # no rollout ran once the optimizer had returned
+    assert after == [0]
     assert np.any(delta != 0.0)
-    assert np.array_equal(traj, tj.rollout(p, tj.warm_start(p, obs), delta)[0])
+    assert np.array_equal(traj, real_rollout(p, tj.warm_start(p, obs), delta)[0])
+    assert diag["objective"][-1] == tj.goal_objective(
+        p, tj.warm_start(p, obs), delta, np.array([0.3, 0.2, 0.6 + tj.HOVER_OFFSET]))[0]
+
+
+def test_goal_objective_skips_the_rollout_above_the_bound(monkeypatch):
+    p, obs, delta, target = kernel_case({}, 29)
+    start = tj.warm_start(p, obs)
+    value = tj.goal_objective(p, start, delta, target, alpha1=2.0)[0]
+    control = np.sum(delta * delta) * 2.0
+    assert control < value
+    # a control cost at the bound is not above it: the rollout runs
+    assert tj.goal_objective(p, start, delta, target, alpha1=2.0,
+                             bound=control)[0] == value
+
+    def rollout(*args):
+        raise AssertionError("rolled out above the bound")
+
+    monkeypatch.setattr(tj, "rollout", rollout)
+    assert tj.goal_objective(p, start, delta, target, alpha1=2.0,
+                             bound=np.nextafter(control, 0.0)) == \
+        (float(control), None, None)
 
 
 def test_predict_fullbody_rejects_nonfinite_observation():
@@ -263,7 +295,7 @@ def test_predict_fullbody_rejects_nonfinite_observation():
 
 def test_predict_fullbody_runs_the_adjoint_only_at_accepted_points(monkeypatch):
     p, obs, _, _ = kernel_case({}, 25)
-    calls = {"adjoint": 0, "objective": 0}
+    calls = {"adjoint": 0, "rollout": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -272,13 +304,13 @@ def test_predict_fullbody_runs_the_adjoint_only_at_accepted_points(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(tj, "rollout_adjoint", counted("adjoint", tj.rollout_adjoint))
-    monkeypatch.setattr(tj, "goal_objective", counted("objective", tj.goal_objective))
+    monkeypatch.setattr(tj, "rollout", counted("rollout", tj.rollout))
     _, _, diag = tj.predict_fullbody(p, obs, [0.3, 0.2, 0.6], max_iters=15)
     assert diag["status"] != "line_search_failure"
     # one gradient at the start and one per accepted step
     assert calls["adjoint"] == diag["iterations"] + 1 == len(diag["objective"])
     # trials the control cost alone rejects skip the rollout too
-    assert calls["objective"] == diag["rollouts"] < diag["evaluations"]
+    assert calls["rollout"] == diag["rollouts"] < diag["evaluations"]
     # the problem has rejected line-search trials, which skip the adjoint
     assert diag["evaluations"] > diag["iterations"] + 1
 
@@ -298,7 +330,7 @@ def test_control_cost_skip_keeps_the_iterates(seed, mode, alpha1):
 
     def every_trial_rolls_out(x):
         value, grad, _ = tj.goal_objective(p, start, x.reshape(shape), target,
-                                           alpha1=alpha1, deferred=True)
+                                           alpha1=alpha1)
         return value, lambda: grad().ravel()
 
     x, hist = tj.lbfgs_minimize(every_trial_rolls_out, np.zeros(shape).ravel(),
@@ -416,15 +448,15 @@ def deferred(objective, calls):
 
 def goal_problem_objective(lazy):
     """The objective of one ``predict_fullbody`` problem; with ``lazy``
-    its gradient is ``goal_objective``'s deferred form."""
+    its gradient is ``goal_objective``'s function, not the array it
+    returns."""
     p, obs, _, target = kernel_case({}, 27)
     start = tj.warm_start(p, obs)
     shape = (tj.HORIZON, p.state_dim)
 
     def f(x):
-        value, grad, _ = tj.goal_objective(p, start, x.reshape(shape), target,
-                                           deferred=lazy)
-        return value, (lambda: grad().ravel()) if lazy else grad.ravel()
+        value, grad, _ = tj.goal_objective(p, start, x.reshape(shape), target)
+        return value, (lambda: grad().ravel()) if lazy else grad().ravel()
     return f
 
 
