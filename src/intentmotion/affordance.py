@@ -551,40 +551,30 @@ def evaluate_graspability(model, data):
 # heuristic baselines and the valid-region metric
 
 
-def _row_geometry(data, i):
-    """The support plane and feature grid of a PlaceabilitySet row."""
-    plane = sc.SupportPlane("table", (0.0, 0.0), tuple(2 * data.half_extent[i]), 0.0)
-    f = data.features[i]
-    grid = sc.PlaneFeatureGrid(occupancy=f[..., 0], pos_x=f[..., 1],
-                               pos_y=f[..., 2], sdf=f[..., 3],
-                               cell_size=tuple(data.cell_size[i]))
-    return plane, grid
-
-
 def baseline_place_mse(data):
     """MSE of the SDF-heuristic placement baseline over a PlaceabilitySet."""
-    se = []
-    for i in range(len(data)):
-        plane, grid = _row_geometry(data, i)
-        point = _place_baseline_on_grid(grid, plane, data.pelvis_plane[i],
-                                        data.radius[i])
-        se.append(((point - data.label[i]) ** 2).sum())
-    return float(np.mean(se))
+    points = _place_baseline_on_grid(data.sdf, data.half_extent, data.cell_size,
+                                     data.pelvis_plane, data.radius)
+    return float(np.mean(((points - data.label) ** 2).sum(axis=1)))
 
 
-def _place_baseline_on_grid(grid, plane, pelvis_plane_xy, radius):
-    """The valid cell center nearest a plane-frame point, first in
-    row-major order on ties."""
-    xs, ys = plane.cell_centers()
-    cells = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
-    ok = sc.is_valid_placement(cells, plane, [], radius, grid=grid)
-    dist = np.where(ok, np.hypot(cells[:, 0] - pelvis_plane_xy[0],
-                                 cells[:, 1] - pelvis_plane_xy[1]), np.inf)
-    k = np.argmin(dist)
-    if not dist[k] < np.inf:
+def _place_baseline_on_grid(sdf, half_extent, cell_size, pelvis_plane, radius):
+    """Per row, the valid cell center nearest a plane-frame point, first in
+    row-major order on ties: row i's plane has half extents
+    ``half_extent[i]``, SDF grid ``sdf[i]`` and cells of ``cell_size[i]``,
+    and ``pelvis_plane[i]`` is the point.  All rows' cells are tested in
+    one ``valid_placement_rows`` lookup."""
+    cells = np.stack([sc.cell_geometry(tuple(2 * h)).cells for h in half_extent])
+    ok = sc.valid_placement_rows(cells, half_extent, radius, sdf, cell_size)
+    dist = np.where(ok, np.hypot(cells[..., 0] - pelvis_plane[:, :1],
+                                 cells[..., 1] - pelvis_plane[:, 1:]), np.inf)
+    rows = np.arange(len(dist))
+    k = np.argmin(dist, axis=1)
+    full = ~(dist[rows, k] < np.inf)
+    if full.any():
         raise SurfaceFullError(
-            f"no valid cell on {plane.surface_type} at radius {radius}")
-    return cells[k]
+            f"no valid cell on table at radius {radius[np.argmax(full)]}")
+    return cells[rows, k]
 
 
 def compute_grasp_stats(data):

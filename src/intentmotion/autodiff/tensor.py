@@ -551,12 +551,13 @@ def bilinear2d(grids, uv):
     n, h, w = grids.shape
     u = uv.values[..., 0]
     v = uv.values[..., 1]
-    uc = np.clip(u, 0.0, h - 1.0)
-    vc = np.clip(v, 0.0, w - 1.0)
+    # np.clip's bits, -0.0 included, without its wrapper's overhead
+    uc = np.minimum(np.maximum(0.0, u), h - 1.0)
+    vc = np.minimum(np.maximum(0.0, v), w - 1.0)
     du, dv = u - uc, v - vc
     over = np.sqrt(du**2 + dv**2)
-    i0 = np.clip(np.floor(uc).astype(int), 0, h - 2)
-    j0 = np.clip(np.floor(vc).astype(int), 0, w - 2)
+    i0 = np.minimum(np.maximum(0, np.floor(uc).astype(int)), h - 2)
+    j0 = np.minimum(np.maximum(0, np.floor(vc).astype(int)), w - 2)
     fu, fv = uc - i0, vc - j0
     bi = np.arange(n)[:, None]
     g00 = grids[bi, i0, j0]

@@ -225,7 +225,12 @@ def cmd_train_predictor(args):
     os.makedirs(os.path.join(args.out, "checkpoints"), exist_ok=True)
     predictor.store.save(ckpt_path(args.out, "predictor"))
     write_manifest(os.path.join(args.out, "checkpoints"), config)
-    print(f"predictor trained: MSE {curve[0]:.5f} -> {curve[-1]:.5f}")
+    # epochs are scored under different scheduled-sampling mixes, so only
+    # the last one is reported, with the mix it was scored at
+    p_self = tj.self_fed_probability(config.predictor_epochs - 1,
+                                     config.predictor_epochs)
+    print(f"predictor trained: last epoch MSE {curve[-1]:.5f} "
+          f"at self-fed probability {p_self:.2f}")
     return 0
 
 

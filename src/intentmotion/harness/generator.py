@@ -113,7 +113,7 @@ def persona_profile(config, persona):
 
 def minimum_jerk(tau):
     """Smooth 0 -> 1 profile with zero boundary velocity/acceleration."""
-    tau = np.clip(tau, 0.0, 1.0)
+    tau = np.minimum(np.maximum(0.0, tau), 1.0)
     return 10 * tau ** 3 - 15 * tau ** 4 + 6 * tau ** 5
 
 
@@ -126,7 +126,8 @@ def _moving_average(x, size):
     mode="nearest")`` and gives its bits.
     """
     n = len(x)
-    padded = x[np.clip(np.arange(n + size - 1) - size // 2, 0, n - 1)]
+    index = np.arange(n + size - 1) - size // 2
+    padded = x[np.minimum(np.maximum(0, index), n - 1)]
     steps = padded.copy()
     steps[size:] -= padded[:-size]
     return np.cumsum(steps, axis=0)[size - 1:] / size
@@ -138,7 +139,8 @@ def _smooth_noise(rng, frames, scale):
 
 
 def _place_distractors(rng, count):
-    """Center-band clutter plus a chance of one obstacle per seat zone.
+    """Center-band clutter plus a chance of one obstacle per seat zone,
+    as (objects, the table's feature grid with all of them).
 
     Keeping obstacles concentrated along the table's long axis means an
     uncertain placement posterior averaged over seats lands in occupied
@@ -146,20 +148,31 @@ def _place_distractors(rng, count):
     intended and where its free space is.
     """
     objects = []
+    occupancy = np.zeros((sc.GRID, sc.GRID))
+
+    def add(obj):
+        nonlocal occupancy
+        objects.append(obj)
+        occupancy = np.maximum(occupancy, sc.rasterize_occupancy(TABLE, [obj]))
 
     def try_place(k, lo, hi):
         otype = rng.choice(sc.MOVABLE_TYPES)
         ext = OBJECT_EXTENTS[otype]
-        grid = sc.plane_feature_stack(TABLE, objects)  # objects fixed until placed
-        for _ in range(40):
-            p = rng.uniform(lo, hi)
-            if sc.is_valid_placement(p, TABLE, objects, max(ext) + 0.01, grid):
-                objects.append(sc.SceneObject(
-                    f"distractor{k}", otype,
-                    (TABLE.frame_origin[0] + p[0], TABLE.frame_origin[1] + p[1],
-                     TABLE.height),
-                    rng.uniform(0, np.pi), ext))
-                return
+        grid = sc.feature_grid(TABLE, occupancy)  # objects fixed until placed
+        # all 40 candidates in one draw and one test; the stream then goes
+        # back and draws up to the first valid one, as a loop that stops
+        # there would have
+        state = rng.bit_generator.state
+        ok = sc.is_valid_placement(rng.uniform(lo, hi, size=(40, 2)), TABLE,
+                                   objects, max(ext) + 0.01, grid)
+        if ok.any():
+            rng.bit_generator.state = state
+            p = rng.uniform(lo, hi, size=(np.argmax(ok) + 1, 2))[-1]
+            add(sc.SceneObject(
+                f"distractor{k}", otype,
+                (TABLE.frame_origin[0] + p[0], TABLE.frame_origin[1] + p[1],
+                 TABLE.height),
+                rng.uniform(0, np.pi), ext))
 
     # clutter fills the table middle and the dead zones between seats, so
     # an uninformed "somewhere open" guess rarely lands on free area; the
@@ -181,17 +194,18 @@ def _place_distractors(rng, count):
                        ("plate", 0.0, side * 0.13),
                        ("bowl", -free_sign * 0.20, 0.0))
             for j, (otype, ox, oy) in enumerate(cluster):
-                objects.append(sc.SceneObject(
+                add(sc.SceneObject(
                     f"blocker{seat}_{j}", otype,
                     (TABLE.frame_origin[0] + ax + ox,
                      TABLE.frame_origin[1] + ay + oy, TABLE.height),
                     0.0, OBJECT_EXTENTS[otype]))
-    return objects
+    return objects, sc.feature_grid(TABLE, occupancy)
 
 
-def _sample_place_point(rng, seat, distractors, radius):
+def _sample_place_point(rng, seat, grid, radius):
     """Contact in front of the chosen seat: the valid cell center nearest
-    a jittered seat anchor, so the label is a function of the occupancy.
+    a jittered seat anchor, so the label is a function of the occupancy
+    in the table's feature grid ``grid``.
 
     People place with a margin, so cells are preferred when they stay
     valid with one extra cell of clearance; boundary-hugging cells are a
@@ -200,12 +214,10 @@ def _sample_place_point(rng, seat, distractors, radius):
     side = np.sign(SEATS[seat][1])
     anchor = np.array([SEATS[seat][0] + rng.normal(0, 0.04),
                        side * (0.20 + rng.normal(0, 0.03))])
-    grid = sc.plane_feature_stack(TABLE, distractors)
-    xs, ys = TABLE.cell_centers()
-    cells = np.stack(np.meshgrid(xs, ys[np.sign(ys) == side], indexing="ij"),
-                     axis=-1).reshape(-1, 2)
+    cells = sc.cell_geometry(TABLE.extent).cells
+    cells = cells[np.sign(cells[:, 1]) == side]
     for r in (radius + max(TABLE.cell_size), radius):
-        ok = sc.is_valid_placement(cells, TABLE, distractors, r, grid=grid)
+        ok = sc.is_valid_placement(cells, TABLE, (), r, grid=grid)
         if ok.any():
             break
     # the norm of one 2-vector is the sqrt of a BLAS dot; a per-row matmul
@@ -218,7 +230,7 @@ def _sample_place_point(rng, seat, distractors, radius):
         return None
     best = cells[k]
     jitter = best + rng.uniform(-0.015, 0.015, size=2)
-    if sc.is_valid_placement(jitter, TABLE, distractors, radius, grid=grid):
+    if sc.is_valid_placement(jitter, TABLE, (), radius, grid=grid):
         return jitter
     return best
 
@@ -235,9 +247,9 @@ def _attempt_episode(config, persona_id, index, attempt):
                               * (np.array(shelf.extent) / np.array((0.8, 0.3))))
     object_start = np.array([shelf_xy[0], shelf_xy[1], shelf.height])
 
-    distractors = _place_distractors(rng, rng.integers(3, 6))
+    distractors, table_grid = _place_distractors(rng, rng.integers(3, 6))
     seat = int(rng.choice(4, p=profile.seat_bias))
-    contact2 = _sample_place_point(rng, seat, distractors, max(ext) + 0.005)
+    contact2 = _sample_place_point(rng, seat, table_grid, max(ext) + 0.005)
     if contact2 is None:
         return None, f"no valid cell near seat {seat}"
     contact = np.array([contact2[0], contact2[1], TABLE.height])
@@ -249,7 +261,7 @@ def _attempt_episode(config, persona_id, index, attempt):
                           object_start[1] - 0.55])
     seat_pos = SEATS[seat]
     walk_time = np.linalg.norm(seat_pos - start_pos) / (0.8 * profile.speed)
-    n_carry = int(round(np.clip(walk_time * jit, 3.2, 5.5) / DT))
+    n_carry = int(round(min(max(walk_time * jit, 3.2), 5.5) / DT))
     n_blend = int(round(rng.uniform(1.3, 1.7) / DT))  # place reach, inside carry
     n_lower = int(round(0.5 / DT))
     n_retract = int(round(rng.uniform(0.8, 1.4) / DT))
@@ -466,7 +478,7 @@ def episode_from_jsonl(text):
     except KeyError as exc:
         raise ValueError(f"episode JSONL line {lineno}: record has no "
                          f"{exc.args[0]!r} field") from None
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ValueError(f"episode JSONL line {lineno}: malformed record "
                          f"({exc})") from None
     if head is None:
@@ -483,7 +495,7 @@ def episode_from_jsonl(text):
     except KeyError as exc:
         raise ValueError(f"episode JSONL scene record has no "
                          f"{exc.args[0]!r} field") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"episode JSONL: malformed record ({exc})") from None
     n = len(timestamps)
     if n == 0 or joints.shape != (n, sc.NUM_JOINTS, 3) or track.shape != (n, 3):

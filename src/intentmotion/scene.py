@@ -15,7 +15,9 @@ conservatively with the smaller factor.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,15 +56,42 @@ class SceneObject:
         if len(self.position) != 3 or len(self.half_extents) != 2:
             raise SceneError(f"object {self.id!r}: position must be 3-d and "
                              f"half extents 2-d")
-        if not np.all(np.isfinite(self.position)) or not np.isfinite(self.yaw):
+        if not all(map(math.isfinite, (*self.position, self.yaw))):
             raise SceneError(f"object {self.id!r}: non-finite pose")
-        if not np.all(np.isfinite(self.half_extents)) or min(self.half_extents) <= 0:
+        if not all(map(math.isfinite, self.half_extents)) or min(self.half_extents) <= 0:
             raise SceneError(f"object {self.id!r}: half extents must be finite and > 0")
 
     @property
     def radius(self):
         """Clearance radius: the larger footprint half extent."""
         return float(max(self.half_extents))
+
+
+class CellGeometry(NamedTuple):
+    """A plane's cell centers in its frame: per axis (``xs``, ``ys``, each
+    (24,)), as "ij" meshgrids (``x``, ``y``, each (24, 24)) and as the
+    row-major list of (x, y) pairs (``cells``, (576, 2))."""
+    xs: np.ndarray
+    ys: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    cells: np.ndarray
+
+
+@functools.lru_cache(maxsize=64)
+def cell_geometry(extent):
+    """The read-only, cached ``CellGeometry`` of a plane of ``extent``
+    (width, depth) meters; a non-positive extent raises SceneError."""
+    w, d = map(float, extent)
+    if min(w, d) <= 0:
+        raise SceneError("plane extent must be > 0")
+    xs = -w / 2 + w / GRID * (np.arange(GRID) + 0.5)
+    ys = -d / 2 + d / GRID * (np.arange(GRID) + 0.5)
+    x, y = np.meshgrid(xs, ys, indexing="ij")
+    geometry = CellGeometry(xs, ys, x, y, np.stack([x, y], axis=-1).reshape(-1, 2))
+    for a in geometry:
+        a.flags.writeable = False
+    return geometry
 
 
 @dataclass(frozen=True)
@@ -84,14 +113,6 @@ class SupportPlane:
     @property
     def cell_size(self):
         return (self.extent[0] / GRID, self.extent[1] / GRID)
-
-    def cell_centers(self):
-        """(24,) x and (24,) y cell-center coordinates in the plane frame."""
-        w, d = self.extent
-        cw, cd = self.cell_size
-        xs = -w / 2 + cw * (np.arange(GRID) + 0.5)
-        ys = -d / 2 + cd * (np.arange(GRID) + 0.5)
-        return xs, ys
 
     def to_plane_frame(self, xy_world):
         return np.asarray(xy_world, dtype=float) - np.asarray(self.frame_origin)
@@ -136,8 +157,8 @@ def rasterize_occupancy(plane, objects):
     plane height are ignored (e.g. held in the hand above the table).
     """
     occ = np.zeros((GRID, GRID))
-    xs, ys = plane.cell_centers()
-    cx, cy = np.meshgrid(xs, ys, indexing="ij")
+    geometry = cell_geometry(tuple(plane.extent))
+    cx, cy = geometry.x, geometry.y
     for obj in objects:
         if abs(obj.position[2] - plane.height) > 0.02:
             continue
@@ -204,11 +225,16 @@ def signed_distance_field(occupancy):
 
 def plane_feature_stack(plane, objects):
     """Assemble the 4-channel plane feature grid (occ, pos_x, pos_y, sdf)."""
-    occ = rasterize_occupancy(plane, objects)
-    xs, ys = plane.cell_centers()
-    px, py = np.meshgrid(xs, ys, indexing="ij")
-    return PlaneFeatureGrid(occupancy=occ, pos_x=px, pos_y=py,
-                            sdf=signed_distance_field(occ),
+    return feature_grid(plane, rasterize_occupancy(plane, objects))
+
+
+def feature_grid(plane, occupancy):
+    """The plane feature grid of a 24x24 occupancy grid, which it keeps;
+    the position channels are the plane's read-only cell meshgrids."""
+    geometry = cell_geometry(tuple(plane.extent))
+    return PlaneFeatureGrid(occupancy=occupancy, pos_x=geometry.x,
+                            pos_y=geometry.y,
+                            sdf=signed_distance_field(occupancy),
                             cell_size=plane.cell_size)
 
 
@@ -271,23 +297,24 @@ def is_valid_placement(points, plane, objects, clearance_radius, grid=None):
 
 
 def valid_placement_rows(points, half_extent, clearance_radius, sdf, cell_size):
-    """``is_valid_placement`` for N points on N planes in one lookup.
+    """``is_valid_placement`` for N planes in one lookup.
 
-    Point i (``points`` is (N, 2)) is tested on a plane of half extents
-    ``half_extent[i]`` whose SDF grid is ``sdf[i]`` (N, 24, 24), with
-    cells of ``cell_size[i]``, at clearance ``clearance_radius[i]``.  The
-    flags equal those of ``is_valid_placement`` row by row.
+    Row i of ``points`` ((N, 2), or (N, M, 2) for M points a row) is
+    tested on a plane of half extents ``half_extent[i]`` whose SDF grid
+    is ``sdf[i]`` (N, 24, 24), with cells of ``cell_size[i]``, at
+    clearance ``clearance_radius[i]``.  The flags equal those of
+    ``is_valid_placement`` row by row.
     """
-    r = np.asarray(clearance_radius, dtype=float)
+    r = np.asarray(clearance_radius, dtype=float)[:, None]
     if np.any(r < 0):
         raise SceneError("clearance_radius must be >= 0")
     p = np.asarray(points, dtype=float)
-    ok = _within_extent(p, half_extent[:, 0], half_extent[:, 1], r)
+    rows = p.reshape(len(p), -1, 2)
+    ok = _within_extent(rows, half_extent[:, :1], half_extent[:, 1:], r)
     # rejected points, non-finite ones among them, are looked up at the center
-    cw, cd = cell_size[:, 0], cell_size[:, 1]
-    values = _sdf_lookup(sdf, cw[:, None], cd[:, None],
-                         np.where(ok[:, None], p, 0.0)[:, None])[:, 0]
-    return ok & (values >= r / np.minimum(cw, cd))
+    cw, cd = cell_size[:, :1], cell_size[:, 1:]
+    values = _sdf_lookup(sdf, cw, cd, np.where(ok[..., None], rows, 0.0))
+    return (ok & (values >= r / np.minimum(cw, cd))).reshape(p.shape[:-1])
 
 
 # ---------------------------------------------------------------------------

@@ -509,6 +509,14 @@ def zero_velocity_baseline(observed, horizon):
 # predictor training (scheduled sampling on 50-frame windows)
 
 
+def self_fed_probability(epoch, epochs, ramp_epochs=None):
+    """Scheduled sampling's probability of feeding the model its own
+    prediction in epoch ``epoch`` (from 0) of ``epochs``: a linear ramp
+    from 0 to 1 over ``ramp_epochs`` (default: half the epochs)."""
+    ramp = ramp_epochs if ramp_epochs is not None else max(1, epochs // 2)
+    return min(1.0, epoch / ramp)
+
+
 def train_predictor(windows, epochs, lr=1e-3, seed=0, batch=32,
                     observed=OBSERVED_FRAMES, ramp_epochs=None):
     """Train the recurrent predictor on (N, 50, 39) windows.
@@ -532,10 +540,9 @@ def train_predictor(windows, epochs, lr=1e-3, seed=0, batch=32,
     horizon = t - observed
     predictor = build_predictor(seed)
     store = predictor.store
-    ramp = ramp_epochs if ramp_epochs is not None else max(1, epochs // 2)
 
     def step(idx, epoch, rng):
-        p_self = min(1.0, epoch / ramp)
+        p_self = self_fed_probability(epoch, epochs, ramp_epochs)
         use_self = np.array([rng.random(len(idx)) < p_self for _ in range(horizon)])
         w = [store[name].values for name in _GRU_NAMES]
         loss, cache = _batch_forward(w, windows[idx, :observed],

@@ -323,41 +323,76 @@ def test_reflection_augmentation_doubles_data():
 # baselines
 
 
+def baseline_rows(data):
+    return (data.sdf, data.half_extent, data.cell_size, data.pelvis_plane,
+            data.radius)
+
+
 def test_place_baseline_nearest_valid_property():
     plane, grid, objects = make_plane_and_grid()
-    pelvis = (0.5, -0.3)
+    data = make_place_set(4, seed=3)
     radius = 0.05
-    point = af._place_baseline_on_grid(sc.plane_feature_stack(plane, objects),
-                                       plane, plane.to_plane_frame(pelvis), radius)
-    assert sc.is_valid_placement(point, plane, objects, radius, grid=grid)
-    rel = plane.to_plane_frame(pelvis)
-    best_d = np.hypot(*(point - rel))
-    xs, ys = plane.cell_centers()
-    for x in xs:
-        for y in ys:
-            if sc.is_valid_placement((x, y), plane, objects, radius, grid=grid):
-                assert np.hypot(x - rel[0], y - rel[1]) >= best_d - 1e-12
+    points = af._place_baseline_on_grid(*baseline_rows(data))
+    xs, ys = sc.cell_geometry(plane.extent)[:2]
+    for point, rel in zip(points, data.pelvis_plane):
+        assert sc.is_valid_placement(point, plane, objects, radius, grid=grid)
+        best_d = np.hypot(*(point - rel))
+        for x in xs:
+            for y in ys:
+                if sc.is_valid_placement((x, y), plane, objects, radius, grid=grid):
+                    assert np.hypot(x - rel[0], y - rel[1]) >= best_d - 1e-12
 
 
 def test_place_baseline_full_surface_raises():
+    data = make_mixed_place_set(6, seed=2)
     plane = sc.SupportPlane("table", (0.0, 0.0), (1.0, 1.0), 0.72)
     block = sc.SceneObject("slab", "plate", (0.0, 0.0, 0.72), 0.0, (0.6, 0.6))
-    with pytest.raises(af.SurfaceFullError):
-        af._place_baseline_on_grid(sc.plane_feature_stack(plane, [block]), plane,
-                                   plane.to_plane_frame((0.0, 0.0)), 0.05)
+    data.features[4] = sc.plane_feature_stack(plane, [block]).stack()
+    data.cell_size[4] = plane.cell_size
+    data.half_extent[4] = (0.5, 0.5)
+    with pytest.raises(af.SurfaceFullError, match=f"radius {data.radius[4]}"):
+        af.baseline_place_mse(data)
+
+
+def test_place_baseline_non_positive_extent_raises():
+    data = make_mixed_place_set(6, seed=2)
+    data.half_extent[2] = (0.0, 0.4)
+    with pytest.raises(sc.SceneError):
+        af.baseline_place_mse(data)
+
+
+def per_row_baseline_mse(data):
+    """The oracle: one plane, meshgrid and is_valid_placement call per row."""
+    se = []
+    for i in range(len(data)):
+        plane = sc.SupportPlane("table", (0.0, 0.0), tuple(2 * data.half_extent[i]),
+                                0.0)
+        f = data.features[i]
+        grid = sc.PlaneFeatureGrid(occupancy=f[..., 0], pos_x=f[..., 1],
+                                   pos_y=f[..., 2], sdf=f[..., 3],
+                                   cell_size=tuple(data.cell_size[i]))
+        xs, ys = sc.cell_geometry(plane.extent)[:2]
+        cells = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
+        ok = sc.is_valid_placement(cells, plane, [], data.radius[i], grid=grid)
+        p = data.pelvis_plane[i]
+        dist = np.where(ok, np.hypot(cells[:, 0] - p[0], cells[:, 1] - p[1]), np.inf)
+        se.append(((cells[np.argmin(dist)] - data.label[i]) ** 2).sum())
+    return float(np.mean(se))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_batched_baseline_equals_per_row_oracle(seed):
+    data = make_mixed_place_set(40, seed=seed)
+    data.radius = np.random.default_rng(seed).uniform(0.0, 0.12, size=len(data))
+    # points on the planes' axes of symmetry give ties between cells
+    data.pelvis_plane[::5] = 0.0
+    data.pelvis_plane[1::5, 0] = 0.0
+    assert af.baseline_place_mse(data) == per_row_baseline_mse(data)
 
 
 def test_baseline_place_mse_zero_on_own_predictions():
     data = make_place_set(6, seed=7)
-    plane = sc.SupportPlane("table", (0.0, 0.0), (1.2, 1.2), 0.0)
-    for i in range(len(data)):
-        grid = sc.PlaneFeatureGrid(
-            occupancy=data.features[i, ..., 0], pos_x=data.features[i, ..., 1],
-            pos_y=data.features[i, ..., 2], sdf=data.features[i, ..., 3],
-            cell_size=tuple(data.cell_size[i]))
-        data.label[i] = af._place_baseline_on_grid(grid, plane,
-                                                   data.pelvis_plane[i],
-                                                   data.radius[i])
+    data.label[:] = af._place_baseline_on_grid(*baseline_rows(data))
     assert af.baseline_place_mse(data) == 0.0
 
 

@@ -193,6 +193,13 @@ def test_episode_from_jsonl_named_faults(episode_records):
         (edited(0, lambda r: r.update(target_type="spoon")),
          "unknown target type 'spoon'"),
         (edited(0, lambda r: r.update(persona="3")), "must be integers"),
+        # integers too large for a float
+        (edited(0, lambda r: obj(r)["pose"].update(position=[10 ** 400, 0, 0])),
+         "malformed record"),
+        (edited(1, lambda r: r["joints"][0].__setitem__(0, 10 ** 400)),
+         "malformed record"),
+        (edited(-1, lambda r: place(r).update(time=10 ** 400)),
+         "malformed record"),
     ]
     for records, match in cases:
         with pytest.raises(ValueError, match=match):

@@ -86,7 +86,7 @@ def _sample_place_point_loop(rng, seat, distractors, radius):
                        side * (0.20 + rng.normal(0, 0.03))])
     grid = sc.plane_feature_stack(gen.TABLE, distractors)
     margin = max(gen.TABLE.cell_size)
-    xs, ys = gen.TABLE.cell_centers()
+    xs, ys = sc.cell_geometry(gen.TABLE.extent)[:2]
     best, best_d = None, np.inf
     for wide in (True, False):
         for x in xs:
@@ -111,11 +111,11 @@ def test_sample_place_point_matches_cell_loop():
     outcomes = set()
     for seed in range(200):
         rng = np.random.default_rng([seed, 99])
-        distractors = gen._place_distractors(rng, int(rng.integers(3, 6)))
+        distractors, grid = gen._place_distractors(rng, int(rng.integers(3, 6)))
         seat = int(rng.integers(4))
         radius = max(gen.OBJECT_EXTENTS[sc.MOVABLE_TYPES[seed % 4]]) + 0.005
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = gen._sample_place_point(a, seat, distractors, radius)
+        got = gen._sample_place_point(a, seat, grid, radius)
         want = _sample_place_point_loop(b, seat, distractors, radius)
         if want is None:
             assert got is None
@@ -155,19 +155,94 @@ def test_runtime_does_not_import_scipy():
     assert run.stdout.strip() == "[]"
 
 
+def _place_distractors_loop(rng, count):
+    """The distractor placement written candidate by candidate: each
+    object's feature grid rasterized from the whole object list, then up
+    to 40 single-point draws and tests.  Also returns how many objects
+    found no valid candidate."""
+    objects, missed = [], [0]
+
+    def try_place(k, lo, hi):
+        otype = rng.choice(sc.MOVABLE_TYPES)
+        ext = gen.OBJECT_EXTENTS[otype]
+        grid = sc.plane_feature_stack(gen.TABLE, objects)
+        for _ in range(40):
+            p = rng.uniform(lo, hi)
+            if sc.is_valid_placement(p, gen.TABLE, objects, max(ext) + 0.01, grid):
+                objects.append(sc.SceneObject(
+                    f"distractor{k}", otype,
+                    (gen.TABLE.frame_origin[0] + p[0],
+                     gen.TABLE.frame_origin[1] + p[1], gen.TABLE.height),
+                    rng.uniform(0, np.pi), ext))
+                return
+        missed[0] += 1
+
+    for k in range(count):
+        try_place(k, (-0.3, -0.3), (0.3, 0.3))
+    for k in range(count, count + 2):
+        try_place(k, (-0.6, -0.12), (0.6, 0.12))
+    for seat in range(4):
+        if rng.random() < 0.65:
+            side = np.sign(gen.SEATS[seat][1])
+            ax, ay = gen.SEATS[seat][0], side * 0.20
+            free_sign = 1.0 if rng.random() < 0.5 else -1.0
+            cluster = (("plate", 0.0, 0.0),
+                       ("plate", 0.0, side * 0.13),
+                       ("bowl", -free_sign * 0.20, 0.0))
+            for j, (otype, ox, oy) in enumerate(cluster):
+                objects.append(sc.SceneObject(
+                    f"blocker{seat}_{j}", otype,
+                    (gen.TABLE.frame_origin[0] + ax + ox,
+                     gen.TABLE.frame_origin[1] + ay + oy, gen.TABLE.height),
+                    0.0, gen.OBJECT_EXTENTS[otype]))
+    return objects, missed[0]
+
+
+def _object_bytes(objects):
+    return [(o.id, o.object_type, np.array(o.position + (o.yaw,)).tobytes(),
+             o.half_extents) for o in objects]
+
+
+def test_place_distractors_matches_candidate_loop():
+    """The batched candidate test places the same objects and leaves the
+    stream where the sequential loop does, also when all 40 candidates
+    of an object fail; the returned grid is that of the object list."""
+    missed = 0
+    for seed in range(600):
+        count = 3 + seed % 10  # up to 12 in the middle, so some find no room
+        a, b = np.random.default_rng([seed, 5]), np.random.default_rng([seed, 5])
+        got, grid = gen._place_distractors(a, count)
+        want, misses = _place_distractors_loop(b, count)
+        assert _object_bytes(got) == _object_bytes(want)
+        assert a.bit_generator.state == b.bit_generator.state
+        full = sc.plane_feature_stack(gen.TABLE, want)
+        assert grid.occupancy.tobytes() == full.occupancy.tobytes()
+        assert grid.sdf.tobytes() == full.sdf.tobytes()
+        missed += misses
+    assert missed > 0
+
+
 def test_distractor_grid_built_once_per_object(monkeypatch):
-    calls = []
-    build = sc.plane_feature_stack
+    grids, rasterized = [], []
+    build, rasterize = sc.feature_grid, sc.rasterize_occupancy
 
-    def counted(plane, objects):
-        calls.append(len(objects))
-        return build(plane, objects)
+    def counted_grid(plane, occupancy):
+        grids.append(int(occupancy.sum()))
+        return build(plane, occupancy)
 
-    monkeypatch.setattr(sc, "plane_feature_stack", counted)
-    gen._place_distractors(np.random.default_rng(3), 5)
-    # one grid per object to place (5 in the middle, 2 in the side bands),
-    # not one per candidate position
-    assert calls == list(range(7))
+    def counted_rasterize(plane, objects):
+        rasterized.append(len(objects))
+        return rasterize(plane, objects)
+
+    monkeypatch.setattr(sc, "feature_grid", counted_grid)
+    monkeypatch.setattr(sc, "rasterize_occupancy", counted_rasterize)
+    objects, _ = gen._place_distractors(np.random.default_rng(3), 5)
+    # one grid per object to place (5 in the middle, 2 in the side bands)
+    # and one for the finished table, never one per candidate position;
+    # each object is rasterized once, alone, into the running occupancy
+    assert len(grids) == 7 + 1
+    assert grids == sorted(grids) and grids[0] == 0
+    assert rasterized == [1] * len(objects)
 
 
 def test_seat_choice_follows_persona_bias():
@@ -431,6 +506,25 @@ def test_cli_wrong_layout_checkpoint_exits_2(tmp_path, capsys, name, model, cut)
     err = capsys.readouterr().err
     assert f"{name}.ckpt: " in err and f"parameter {cut!r} has shape" in err
     assert "Traceback" not in err
+
+
+def test_cli_train_predictor_reports_the_last_epoch(tmp_path, capsys):
+    """The epochs of scheduled sampling are scored under different
+    teacher-forcing mixes, so the CLI reports the last one with its mix."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"personas": 2, "episodes_per_persona": 1,
+                                "predictor_epochs": 2}))
+    base = ["--seed", "11", "--out", str(tmp_path / "out"), "--config", str(path)]
+    assert cli.main(["gen-data"] + base) == 0
+    capsys.readouterr()
+    assert cli.main(["train-predictor"] + base) == 0
+    line = capsys.readouterr().out.strip().splitlines()[-1]
+    windows, _ = ds.extract_training_pairs(
+        cli.load_episodes(str(tmp_path / "out"), "train"), "predictor")
+    _, curve = tj.train_predictor(
+        windows, epochs=2, lr=bm.BenchmarkConfig().predictor_lr, seed=11)
+    assert line == (f"predictor trained: last epoch MSE {curve[-1]:.5f} "
+                    "at self-fed probability 1.00")
 
 
 def test_cli_jsonl_without_scene_record_exits_2(tmp_path, capsys):

@@ -70,6 +70,36 @@ class TestTypes:
         assert code[2] == 1 and code[9] == 1
 
 
+class TestCellGeometry:
+    @pytest.mark.parametrize("extent", [(1.6, 0.8), (0.8, 0.3), (0.4, 0.3),
+                                        (1, 1), (0.9, 0.6)])
+    def test_cached_arrays_have_the_formula_bits(self, extent):
+        w, d = extent
+        cw, cd = w / 24, d / 24
+        xs = -w / 2 + cw * (np.arange(24) + 0.5)
+        ys = -d / 2 + cd * (np.arange(24) + 0.5)
+        x, y = np.meshgrid(xs, ys, indexing="ij")
+        geometry = sc.cell_geometry(extent)
+        plane = sc.SupportPlane("table", (0.3, -0.2), extent, 0.7)
+        for got, want in zip(geometry, (xs, ys, x, y,
+                                        np.stack([x, y], -1).reshape(-1, 2))):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        grid = sc.plane_feature_stack(plane, [])
+        assert grid.pos_x.tobytes() == x.tobytes()
+        assert grid.pos_y.tobytes() == y.tobytes()
+
+    def test_cached_arrays_are_read_only(self, table):
+        geometry = sc.cell_geometry(table.extent)
+        assert sc.cell_geometry(tuple(table.extent)) is geometry
+        for a in geometry:
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
+    def test_non_positive_extent_rejected(self):
+        with pytest.raises(sc.SceneError):
+            sc.cell_geometry((0.0, 1.0))
+
+
 class TestRasterize:
     def test_empty_scene(self, table):
         occ = sc.rasterize_occupancy(table, [])
@@ -79,7 +109,7 @@ class TestRasterize:
     def test_centered_cup_matches_pointwise_oracle(self, table):
         obj = cup(0.0, 0.0)
         occ = sc.rasterize_occupancy(table, [obj])
-        xs, ys = table.cell_centers()
+        xs, ys = sc.cell_geometry(table.extent)[:2]
         for i in range(24):
             for j in range(24):
                 inside = abs(xs[i]) <= 0.04 and abs(ys[j]) <= 0.04
@@ -88,7 +118,7 @@ class TestRasterize:
     def test_rotated_footprint_matches_oracle(self, table):
         obj = sc.SceneObject("p", "plate", (0.2, -0.1, 0.72), 0.7, (0.12, 0.08))
         occ = sc.rasterize_occupancy(table, [obj])
-        xs, ys = table.cell_centers()
+        xs, ys = sc.cell_geometry(table.extent)[:2]
         c, s = np.cos(0.7), np.sin(0.7)
         for i in range(24):
             for j in range(24):
@@ -104,6 +134,23 @@ class TestRasterize:
     def test_object_above_plane_ignored(self, table):
         occ = sc.rasterize_occupancy(table, [cup(0.0, 0.0, z=0.90)])
         assert occ.sum() == 0
+
+    def test_incremental_occupancy_equals_full_rasterization(self, table):
+        """Rasterizing each object alone into a running grid, as the
+        generator does, gives the grid of the whole list: rotated,
+        overlapping, off-plane and off-table objects alike."""
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            objects = [sc.SceneObject(
+                f"o{k}", "plate",
+                (*rng.uniform(-0.9, 0.9, size=2),
+                 0.72 + rng.choice([0.0, 0.01, 0.05])),
+                rng.uniform(-np.pi, np.pi), tuple(rng.uniform(0.02, 0.2, size=2)))
+                for k in range(rng.integers(1, 9))]
+            running = np.zeros((24, 24))
+            for obj in objects:
+                running = np.maximum(running, sc.rasterize_occupancy(table, [obj]))
+            assert running.tobytes() == sc.rasterize_occupancy(table, objects).tobytes()
 
     def test_nonfinite_pose_rejected(self, table):
         with pytest.raises(sc.SceneError):
@@ -195,14 +242,14 @@ class TestFeatureStack:
 class TestBilinear:
     def test_cell_center_exact(self, table):
         grid = sc.plane_feature_stack(table, [cup(0.2, 0.1)])
-        xs, ys = table.cell_centers()
+        xs, ys = sc.cell_geometry(table.extent)[:2]
         for i, j in ((0, 0), (5, 17), (23, 23)):
             assert sc.sdf_bilinear(grid, (xs[i], ys[j])) == pytest.approx(
                 grid.sdf[i, j], abs=1e-12)
 
     def test_midpoint_is_mean(self, table):
         grid = sc.plane_feature_stack(table, [cup(0.2, 0.1)])
-        xs, ys = table.cell_centers()
+        xs, ys = sc.cell_geometry(table.extent)[:2]
         mid = ((xs[3] + xs[4]) / 2, ys[7])
         expected = 0.5 * (grid.sdf[3, 7] + grid.sdf[4, 7])
         assert sc.sdf_bilinear(grid, mid) == pytest.approx(expected, abs=1e-12)
@@ -210,7 +257,7 @@ class TestBilinear:
     def test_random_queries_vs_dense_oracle(self, table):
         grid = sc.plane_feature_stack(table, [cup(0.2, 0.1), cup(-0.4, -0.2)])
         rng = np.random.default_rng(2)
-        xs, ys = table.cell_centers()
+        xs, ys = sc.cell_geometry(table.extent)[:2]
         for _ in range(200):
             # query strictly inside the cell-center hull
             x = rng.uniform(xs[0], xs[-1])
@@ -257,7 +304,7 @@ class TestVectorisedGeometry:
     """Array queries against per-point calls and the dense overshoot formula."""
 
     def queries(self, table):
-        xs, ys = table.cell_centers()
+        xs, ys = sc.cell_geometry(table.extent)[:2]
         centers = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1)
         rng = np.random.default_rng(21)
         scattered = rng.uniform((-0.9, -0.5), (0.9, 0.5), size=(300, 2))
