@@ -243,11 +243,7 @@ def affordance_place_goal(model, predictor, problem):
     ``densities.mdn_responsible_component``).  The highest-weight mode alone
     is a different seat often enough to drag the whole body off course.
     """
-    ep = problem["episode"]
-    traj, _ = ds._traj_window(ep, problem["query_frame"])
-    onehot = sc.onehot_code(ep.target_type, "table")
-    features = sc.plane_feature_stack(gen.TABLE, ep.objects).stack()
-    dist = af.placeability_predict(model, traj, onehot, features[None])[0]
+    dist, = _place_densities(model, problem["episode"], [problem["query_frame"]])
     free, _ = tj.rollout(predictor, tj.warm_start(predictor, problem["observed"]),
                          np.zeros((tj.HORIZON, predictor.state_dim)))
     lo = 3 * sc.R_WRIST
@@ -255,6 +251,16 @@ def affordance_place_goal(model, predictor, problem):
     k = dn.mdn_responsible_component(dist, wrist_xy, GOAL_SPREAD)
     point = gen.TABLE.to_world(dist.mu[k])
     return np.array([point[0], point[1], gen.TABLE.height])
+
+
+def _place_densities(model, episode, query_frames):
+    """The placeability mixture of ``episode`` at each of ``query_frames``,
+    all read off one feature stack of its table."""
+    onehot = sc.onehot_code(episode.target_type, "table")
+    features = sc.plane_feature_stack(gen.TABLE, episode.objects).stack()[None]
+    return [af.placeability_predict(model, ds._traj_window(episode, qf)[0],
+                                    onehot, features)[0]
+            for qf in query_frames]
 
 
 # ---------------------------------------------------------------------------
@@ -416,15 +422,13 @@ def export_heatmaps(model, episode, path_prefix):
     if place is None:
         raise ValueError(f"episode {episode.index} of persona {episode.persona} "
                          f"has no place event to export heatmaps for")
-    paths = []
+    frames = {}  # offset: query frame, for the offsets with a full window
     for offset in (4.0, 1.0, 0.5):
         qf = episode.frame_at(place.time - offset)
-        if qf - ds.OBS_FRAMES + 1 < 0:
-            continue
-        traj, _ = ds._traj_window(episode, qf)
-        onehot = sc.onehot_code(episode.target_type, "table")
-        features = sc.plane_feature_stack(gen.TABLE, episode.objects).stack()
-        dist = af.placeability_predict(model, traj, onehot, features[None])[0]
+        if qf - ds.OBS_FRAMES + 1 >= 0:
+            frames[offset] = qf
+    paths = []
+    for offset, dist in zip(frames, _place_densities(model, episode, frames.values())):
         prefix = f"{path_prefix}_t{offset:g}s"
         dn.export_heatmap(dist, gen.TABLE.extent, prefix)
         paths.append(prefix)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, fields
@@ -39,10 +40,10 @@ class _Parser(argparse.ArgumentParser):
 
 def load_config(args):
     """BenchmarkConfig from ``--config`` and ``--seed``; a config file that
-    is not a JSON object of known keys with values of the defaults' types,
-    that sets an ``*_epochs`` key or ``eval_episode_cap`` below 1, or that
-    names a ``goal_variant`` outside ``affordance.PLACE_VARIANTS``, raises
-    UsageError."""
+    is not a JSON object of known keys with finite values of the defaults'
+    types, that sets an ``*_epochs`` key or ``eval_episode_cap`` below 1,
+    or that names a ``goal_variant`` outside ``affordance.PLACE_VARIANTS``,
+    and a negative seed from either source, raise UsageError."""
     values = {}
     if args.config:
         with open(args.config) as f:
@@ -62,6 +63,9 @@ def load_config(args):
             if not isinstance(value, want) or isinstance(value, bool):
                 raise UsageError(f"config key {key!r} must be "
                                  f"{types[key].__name__}, got {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise UsageError(f"config key {key!r} must be finite, "
+                                 f"got {value!r}")
             if (key.endswith("_epochs") or key == "eval_episode_cap") \
                     and value < 1:
                 raise UsageError(f"config key {key!r} must be at least 1, "
@@ -71,6 +75,8 @@ def load_config(args):
                                  f"{af.PLACE_VARIANTS}, got {value!r}")
     if args.seed is not None:
         values["seed"] = args.seed
+    if values.get("seed", 0) < 0:
+        raise UsageError(f"seed must be at least 0, got {values['seed']}")
     return bm.BenchmarkConfig(**values)
 
 

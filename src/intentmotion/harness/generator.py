@@ -164,7 +164,7 @@ def _place_distractors(rng, count):
         # there would have
         state = rng.bit_generator.state
         ok = sc.is_valid_placement(rng.uniform(lo, hi, size=(40, 2)), TABLE,
-                                   objects, max(ext) + 0.01, grid)
+                                   max(ext) + 0.01, grid)
         if ok.any():
             rng.bit_generator.state = state
             p = rng.uniform(lo, hi, size=(np.argmax(ok) + 1, 2))[-1]
@@ -217,7 +217,7 @@ def _sample_place_point(rng, seat, grid, radius):
     cells = sc.cell_geometry(TABLE.extent).cells
     cells = cells[np.sign(cells[:, 1]) == side]
     for r in (radius + max(TABLE.cell_size), radius):
-        ok = sc.is_valid_placement(cells, TABLE, (), r, grid=grid)
+        ok = sc.is_valid_placement(cells, TABLE, r, grid)
         if ok.any():
             break
     # the norm of one 2-vector is the sqrt of a BLAS dot; a per-row matmul
@@ -230,7 +230,7 @@ def _sample_place_point(rng, seat, grid, radius):
         return None
     best = cells[k]
     jitter = best + rng.uniform(-0.015, 0.015, size=2)
-    if sc.is_valid_placement(jitter, TABLE, (), radius, grid=grid):
+    if sc.is_valid_placement(jitter, TABLE, radius, grid):
         return jitter
     return best
 

@@ -238,83 +238,53 @@ def feature_grid(plane, occupancy):
                             cell_size=plane.cell_size)
 
 
-def _sdf_lookup(sdf, cw, cd, points):
-    """Bilinear lookup, in cell units, in SDF grids (N, 24, 24) at
-    plane-frame points (N, M, 2); the cell sizes ``cw`` and ``cd`` are
-    numbers or (N, 1) arrays."""
-    w, d = cw * GRID, cd * GRID
-    u = (points[..., 0] + w / 2) / cw - 0.5
-    v = (points[..., 1] + d / 2) / cd - 0.5
-    return ad.bilinear2d(sdf, np.stack([u, v], axis=-1)).values
-
-
-def sdf_bilinear(grid, points):
-    """Continuous SDF lookup at plane-frame points (..., 2), in cell units.
+def _sdf_lookup(sdf, cell_size, points):
+    """Bilinear lookup, in cell units, in SDF grids (N, 24, 24) with cells
+    of ``cell_size`` (N, 2) at plane-frame points (N, M, 2).
 
     Outside the cell-center range the value is the clamped border
     interpolation minus the Euclidean overshoot in cells, so the field
     keeps decreasing smoothly past the rim.  The lookup is the tape's
-    ``bilinear2d`` on constant coordinates; a single point gives a float.
+    ``bilinear2d`` on constant coordinates.
     """
-    cw, cd = grid.cell_size
+    cs = cell_size[:, None]
+    return ad.bilinear2d(sdf, (points + cs * GRID / 2) / cs - 0.5).values
+
+
+def is_valid_placement(points, plane, clearance_radius, grid):
+    """Which plane-frame points (..., 2) sit on ``plane``, whose feature
+    grid is ``grid``, with the required clearance, as a boolean array:
+    ``valid_placement_rows`` on one plane."""
     p = np.asarray(points, dtype=float)
-    values = _sdf_lookup(grid.sdf[None], cw, cd, p.reshape(1, -1, 2))
-    values = values.reshape(p.shape[:-1])
-    return float(values) if p.ndim == 1 else values
-
-
-def clearance_cells(radius_m, cell_size):
-    """Metric clearance radius in cell units (conservative: smaller cell)."""
-    return radius_m / min(cell_size)
-
-
-def _within_extent(p, half_w, half_d, clearance_radius):
-    return (np.abs(p[..., 0]) <= half_w - clearance_radius) \
-        & (np.abs(p[..., 1]) <= half_d - clearance_radius)
-
-
-def is_valid_placement(points, plane, objects, clearance_radius, grid=None):
-    """Which plane-frame points (..., 2) sit on the plane with the
-    required clearance, as a boolean array.
-
-    A point must lie inside the extent shrunk by the radius and the
-    interpolated SDF there must be at least the radius in cell units.
-    Without ``grid`` the feature grid of ``objects`` is built, and only
-    when some point passes the extent test.
-    """
-    if clearance_radius < 0:
-        raise SceneError("clearance_radius must be >= 0")
-    p = np.asarray(points, dtype=float)
-    w, d = plane.extent
-    ok = _within_extent(p, w / 2, d / 2, clearance_radius)
-    if not ok.any():
-        return ok
-    if grid is None:
-        grid = plane_feature_stack(plane, objects)
-    # rejected points, non-finite ones among them, are looked up at the center
-    sdf = sdf_bilinear(grid, np.where(ok[..., None], p, 0.0))
-    return ok & (sdf >= clearance_cells(clearance_radius, grid.cell_size))
+    flags = valid_placement_rows(p.reshape(1, -1, 2), np.array([plane.extent]) / 2,
+                                 [clearance_radius], grid.sdf[None],
+                                 np.array([grid.cell_size]))
+    return flags.reshape(p.shape[:-1])
 
 
 def valid_placement_rows(points, half_extent, clearance_radius, sdf, cell_size):
-    """``is_valid_placement`` for N planes in one lookup.
+    """Which points sit on their plane with the required clearance.
 
     Row i of ``points`` ((N, 2), or (N, M, 2) for M points a row) is
     tested on a plane of half extents ``half_extent[i]`` whose SDF grid
     is ``sdf[i]`` (N, 24, 24), with cells of ``cell_size[i]``, at
-    clearance ``clearance_radius[i]``.  The flags equal those of
-    ``is_valid_placement`` row by row.
+    clearance ``clearance_radius[i]``.  A point must lie inside the
+    extent shrunk by the radius, and the interpolated SDF there must be
+    at least the radius in cell units, converted conservatively with the
+    smaller cell side.  When no point passes the extent test, no SDF is
+    looked up.
     """
     r = np.asarray(clearance_radius, dtype=float)[:, None]
-    if np.any(r < 0):
+    if (r < 0).any():
         raise SceneError("clearance_radius must be >= 0")
     p = np.asarray(points, dtype=float)
     rows = p.reshape(len(p), -1, 2)
-    ok = _within_extent(rows, half_extent[:, :1], half_extent[:, 1:], r)
-    # rejected points, non-finite ones among them, are looked up at the center
-    cw, cd = cell_size[:, :1], cell_size[:, 1:]
-    values = _sdf_lookup(sdf, cw, cd, np.where(ok[..., None], rows, 0.0))
-    return (ok & (values >= r / np.minimum(cw, cd))).reshape(p.shape[:-1])
+    ok = (np.abs(rows) <= (half_extent - r)[:, None]).all(axis=-1)
+    if ok.any():
+        # rejected points, non-finite ones among them, are looked up at the center
+        values = _sdf_lookup(sdf, cell_size, np.where(ok[..., None], rows, 0.0))
+        ok &= values >= r / cell_size.min(axis=1, keepdims=True)
+    return ok.reshape(p.shape[:-1])
 
 
 # ---------------------------------------------------------------------------

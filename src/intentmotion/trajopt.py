@@ -430,8 +430,6 @@ def lbfgs_minimize(objective, x0, max_iters=100, tol=1e-6):
             pairs = []
         x, f, g = x_new, f_new, g_new
         values.append(float(f))
-    else:
-        iters = max_iters
     if status == "max_iters" and np.max(np.abs(g)) < tol:
         status = "converged"
     return x, {"values": values, "iterations": iters, "status": status,

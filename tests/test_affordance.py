@@ -1,6 +1,7 @@
 """Tests for the placeability and graspability affordance models."""
 
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -22,12 +23,37 @@ def make_plane_and_grid(obstacle=True):
     if obstacle:
         objects.append(sc.SceneObject("cup0", "cup", (0.2, 0.1, 0.72), 0.0,
                                       (0.06, 0.06)))
-    return plane, sc.plane_feature_stack(plane, objects), objects
+    return plane, sc.plane_feature_stack(plane, objects)
+
+
+def sdf_oracle(sdf, cell_size, point):
+    """The bilinear SDF at one plane-frame point, in cell units, written
+    out on scalars: the interpolation clamped to the cell-center hull,
+    minus the overshoot past it.  ``sdf`` is a 24x24 array or nested list."""
+    cw, cd = cell_size
+    u = (point[0] + cw * sc.GRID / 2) / cw - 0.5
+    v = (point[1] + cd * sc.GRID / 2) / cd - 0.5
+    uc, vc = min(max(u, 0.0), 23.0), min(max(v, 0.0), 23.0)
+    i0, j0 = min(int(uc), 22), min(int(vc), 22)
+    fu, fv = uc - i0, vc - j0
+    interp = ((1 - fu) * (1 - fv) * sdf[i0][j0] + (1 - fu) * fv * sdf[i0][j0 + 1]
+              + fu * (1 - fv) * sdf[i0 + 1][j0] + fu * fv * sdf[i0 + 1][j0 + 1])
+    return interp - math.sqrt((u - uc) ** 2 + (v - vc) ** 2)
+
+
+def valid_oracle(point, half_extent, radius, sdf, cell_size):
+    """Placement validity of one point written out: inside the extent
+    shrunk by the radius, and the SDF there at least the radius in units
+    of the smaller cell side."""
+    x, y = map(float, point)
+    if not (abs(x) <= half_extent[0] - radius and abs(y) <= half_extent[1] - radius):
+        return False
+    return sdf_oracle(sdf, cell_size, (x, y)) >= radius / min(cell_size)
 
 
 def make_place_set(n=8, seed=0, obstacle=True):
     rng = np.random.default_rng(seed)
-    plane, grid, _ = make_plane_and_grid(obstacle)
+    plane, grid = make_plane_and_grid(obstacle)
     stack = grid.stack()
     return af.PlaceabilitySet(
         traj=0.1 * rng.normal(size=(n, af.TRAJ_DIM)),
@@ -137,16 +163,16 @@ def test_penalty_matches_bilinear_oracle():
     gap = af.placeability_loss(pen_model, data, penalty_weight=weight).item() \
         - af.placeability_loss(plain, data).item()
 
-    plane, grid, _ = make_plane_and_grid()
+    _, grid = make_plane_and_grid()
     raw = af.placeability_forward(plain, data.traj, data.onehot,
                                   data.features).values
     per_sample = []
     for i, r in enumerate(raw):
         dist = dn.mdn_head(r)
-        r_cells = sc.clearance_cells(data.radius[i], tuple(data.cell_size[i]))
+        r_cells = data.radius[i] / min(data.cell_size[i])
         pen = 0.0
         for mu in dist.mu:
-            s = sc.sdf_bilinear(grid, mu)
+            s = sdf_oracle(grid.sdf, grid.cell_size, mu)
             pen += min(max(0.0, r_cells - s), r_cells + 2.0) ** 2
         per_sample.append(pen / dist.m)
     assert abs(gap - weight * np.mean(per_sample)) < 1e-9
@@ -329,17 +355,17 @@ def baseline_rows(data):
 
 
 def test_place_baseline_nearest_valid_property():
-    plane, grid, objects = make_plane_and_grid()
+    plane, grid = make_plane_and_grid()
     data = make_place_set(4, seed=3)
     radius = 0.05
     points = af._place_baseline_on_grid(*baseline_rows(data))
     xs, ys = sc.cell_geometry(plane.extent)[:2]
     for point, rel in zip(points, data.pelvis_plane):
-        assert sc.is_valid_placement(point, plane, objects, radius, grid=grid)
+        assert sc.is_valid_placement(point, plane, radius, grid)
         best_d = np.hypot(*(point - rel))
         for x in xs:
             for y in ys:
-                if sc.is_valid_placement((x, y), plane, objects, radius, grid=grid):
+                if sc.is_valid_placement((x, y), plane, radius, grid):
                     assert np.hypot(x - rel[0], y - rel[1]) >= best_d - 1e-12
 
 
@@ -362,18 +388,15 @@ def test_place_baseline_non_positive_extent_raises():
 
 
 def per_row_baseline_mse(data):
-    """The oracle: one plane, meshgrid and is_valid_placement call per row."""
+    """The oracle: each row's cell centers, tested one by one with
+    ``valid_oracle``."""
     se = []
     for i in range(len(data)):
-        plane = sc.SupportPlane("table", (0.0, 0.0), tuple(2 * data.half_extent[i]),
-                                0.0)
-        f = data.features[i]
-        grid = sc.PlaneFeatureGrid(occupancy=f[..., 0], pos_x=f[..., 1],
-                                   pos_y=f[..., 2], sdf=f[..., 3],
-                                   cell_size=tuple(data.cell_size[i]))
-        xs, ys = sc.cell_geometry(plane.extent)[:2]
+        xs, ys = sc.cell_geometry(tuple(2 * data.half_extent[i]))[:2]
         cells = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
-        ok = sc.is_valid_placement(cells, plane, [], data.radius[i], grid=grid)
+        sdf = data.sdf[i].tolist()
+        ok = np.array([valid_oracle(c, data.half_extent[i], data.radius[i], sdf,
+                                    data.cell_size[i]) for c in cells])
         p = data.pelvis_plane[i]
         dist = np.where(ok, np.hypot(cells[:, 0] - p[0], cells[:, 1] - p[1]), np.inf)
         se.append(((cells[np.argmin(dist)] - data.label[i]) ** 2).sum())
@@ -443,22 +466,15 @@ def crafted_points(data, seed):
 
 
 def per_row_flags(points, data, radius):
-    """The oracle: one is_valid_placement call per row, on its own plane."""
-    flags = []
-    for k, point in enumerate(points):
-        plane = sc.SupportPlane("table", (0.0, 0.0), tuple(2 * data.half_extent[k]), 0.0)
-        f = data.features[k]
-        grid = sc.PlaneFeatureGrid(occupancy=f[..., 0], pos_x=f[..., 1],
-                                   pos_y=f[..., 2], sdf=f[..., 3],
-                                   cell_size=tuple(data.cell_size[k]))
-        flags.append(bool(sc.is_valid_placement(point, plane, [], radius[k], grid=grid)))
-    return flags
+    """The oracle: ``valid_oracle`` on each row's point and plane."""
+    return [valid_oracle(point, data.half_extent[k], radius[k], data.sdf[k],
+                         data.cell_size[k]) for k, point in enumerate(points)]
 
 
 def per_row_valid_region_rate(model, data, batch=256,
                               predict=af.placeability_predict):
     """``evaluate_placeability``'s valid-region rates with one
-    is_valid_placement call per row; ``predict`` gives each batch's
+    ``valid_oracle`` test per row; ``predict`` gives each batch's
     mixtures."""
     hits = {o: [] for o in np.unique(data.offset)}
     for lo in range(0, len(data), batch):

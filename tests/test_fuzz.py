@@ -255,10 +255,19 @@ def test_cli_config_exit_codes(tmp_path, capsys, doc):
 
 def test_cli_config_not_an_object_is_usage_error(tmp_path, capsys):
     path = tmp_path / "config.json"
-    for text in ("5", "[1, 2]", "{not json", '{"seed": "x"}', '{"personas": 2.5}'):
+    for text, key in (("5", ""), ("[1, 2]", ""), ("{not json", ""),
+                      ('{"seed": "x"}', "seed"), ('{"personas": 2.5}', "personas"),
+                      ('{"path_jitter": NaN}', "path_jitter"),
+                      ('{"place_lr": -Infinity}', "place_lr"),
+                      ('{"seed": -1}', "seed")):
         path.write_text(text)
-        assert run_cli(["gen-data", "--out", str(tmp_path / "o"),
-                        "--config", str(path)], capsys) == 1
+        assert cli.main(["gen-data", "--out", str(tmp_path / "o"),
+                         "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+    assert cli.main(["gen-data", "--out", str(tmp_path / "o"), "--seed", "-3"]) == 1
+    assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.fixture(scope="module")

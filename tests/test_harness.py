@@ -14,6 +14,7 @@ import pytest
 from scipy.ndimage import uniform_filter1d
 
 import intentmotion.affordance as af
+import intentmotion.densities as dn
 import intentmotion.scene as sc
 import intentmotion.trajopt as tj
 from intentmotion.autodiff import ParamStore
@@ -63,7 +64,8 @@ def test_events_ordered_and_contacts_valid(small_world):
         place = [e for e in ep.events if e.kind == "place"][0]
         point = gen.TABLE.to_plane_frame(np.asarray(place.point[:2]))
         radius = max(gen.OBJECT_EXTENTS[ep.target_type])
-        assert sc.is_valid_placement(point, gen.TABLE, ep.objects, radius)
+        grid = sc.plane_feature_stack(gen.TABLE, ep.objects)
+        assert sc.is_valid_placement(point, gen.TABLE, radius, grid)
 
 
 def test_object_track_follows_script(small_world):
@@ -94,15 +96,14 @@ def _sample_place_point_loop(rng, seat, distractors, radius):
                 p = np.array([x, y])
                 d = np.linalg.norm(p - anchor)
                 r = radius + margin if wide else radius
-                if d < best_d and sc.is_valid_placement(p, gen.TABLE, distractors,
-                                                        r, grid=grid):
+                if d < best_d and sc.is_valid_placement(p, gen.TABLE, r, grid):
                     best, best_d = p, d
         if best is not None:
             break
     if best is None or best_d > 0.45:
         return None
     jitter = best + rng.uniform(-0.015, 0.015, size=2)
-    if sc.is_valid_placement(jitter, gen.TABLE, distractors, radius, grid=grid):
+    if sc.is_valid_placement(jitter, gen.TABLE, radius, grid):
         return jitter
     return best
 
@@ -168,7 +169,7 @@ def _place_distractors_loop(rng, count):
         grid = sc.plane_feature_stack(gen.TABLE, objects)
         for _ in range(40):
             p = rng.uniform(lo, hi)
-            if sc.is_valid_placement(p, gen.TABLE, objects, max(ext) + 0.01, grid):
+            if sc.is_valid_placement(p, gen.TABLE, max(ext) + 0.01, grid):
                 objects.append(sc.SceneObject(
                     f"distractor{k}", otype,
                     (gen.TABLE.frame_origin[0] + p[0],
@@ -443,6 +444,35 @@ def test_cli_export_heatmap_without_place_event_exits_2(tmp_path, capsys):
     with pytest.raises(ValueError, match=f"episode {episode.index} of persona "
                                          f"{episode.persona} has no place"):
         bm.export_heatmaps(model, episode, str(tmp_path / "h"))
+
+
+def test_export_heatmaps_builds_one_feature_stack(small_world, tmp_path, monkeypatch):
+    episode = small_world[1][0]
+    model = af.assemble_placeability("plain", seed=3)
+    # the oracle: window, code, feature stack and prediction per offset
+    place = next(e for e in episode.events if e.kind == "place")
+    expected = []
+    for offset in (4.0, 1.0, 0.5):
+        qf = episode.frame_at(place.time - offset)
+        traj, _ = ds._traj_window(episode, qf)
+        features = sc.plane_feature_stack(gen.TABLE, episode.objects).stack()
+        dist = af.placeability_predict(model, traj, sc.onehot_code(
+            episode.target_type, "table"), features[None])[0]
+        expected.append(dn.export_heatmap(dist, gen.TABLE.extent,
+                                          str(tmp_path / f"oracle{offset:g}")))
+    real, calls = sc.plane_feature_stack, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sc, "plane_feature_stack", counted)
+    prefixes = bm.export_heatmaps(model, episode, str(tmp_path / "h"))
+    assert len(calls) == 1 and len(prefixes) == 3
+    for prefix, oracle in zip(prefixes, expected):
+        for suffix, path in zip((".csv", ".pgm"), oracle):
+            assert pathlib.Path(prefix + suffix).read_bytes() == \
+                pathlib.Path(path).read_bytes()
 
 
 def test_cli_eval_without_checkpoints(tmp_path, capsys):

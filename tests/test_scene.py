@@ -239,12 +239,20 @@ class TestFeatureStack:
         np.testing.assert_array_equal(g1, g2)
 
 
+def sdf_lookup(grid, points):
+    """``scene._sdf_lookup`` on one grid at plane-frame points (..., 2)."""
+    p = np.asarray(points, dtype=float)
+    values = sc._sdf_lookup(grid.sdf[None], np.array([grid.cell_size]),
+                            p.reshape(1, -1, 2))
+    return values.reshape(p.shape[:-1])
+
+
 class TestBilinear:
     def test_cell_center_exact(self, table):
         grid = sc.plane_feature_stack(table, [cup(0.2, 0.1)])
         xs, ys = sc.cell_geometry(table.extent)[:2]
         for i, j in ((0, 0), (5, 17), (23, 23)):
-            assert sc.sdf_bilinear(grid, (xs[i], ys[j])) == pytest.approx(
+            assert sdf_lookup(grid, (xs[i], ys[j])) == pytest.approx(
                 grid.sdf[i, j], abs=1e-12)
 
     def test_midpoint_is_mean(self, table):
@@ -252,7 +260,7 @@ class TestBilinear:
         xs, ys = sc.cell_geometry(table.extent)[:2]
         mid = ((xs[3] + xs[4]) / 2, ys[7])
         expected = 0.5 * (grid.sdf[3, 7] + grid.sdf[4, 7])
-        assert sc.sdf_bilinear(grid, mid) == pytest.approx(expected, abs=1e-12)
+        assert sdf_lookup(grid, mid) == pytest.approx(expected, abs=1e-12)
 
     def test_random_queries_vs_dense_oracle(self, table):
         grid = sc.plane_feature_stack(table, [cup(0.2, 0.1), cup(-0.4, -0.2)])
@@ -272,19 +280,25 @@ class TestBilinear:
                       + (1 - fu) * fv * g[i0, j0 + 1]
                       + fu * (1 - fv) * g[i0 + 1, j0]
                       + fu * fv * g[i0 + 1, j0 + 1])
-            assert sc.sdf_bilinear(grid, (x, y)) == pytest.approx(oracle, abs=1e-12)
+            assert sdf_lookup(grid, (x, y)) == pytest.approx(oracle, abs=1e-12)
 
 
 class TestValidPlacement:
     def test_center_of_empty_table(self, table):
-        assert sc.is_valid_placement((0.0, 0.0), table, [], 0.04)
+        grid = sc.plane_feature_stack(table, [])
+        assert sc.is_valid_placement((0.0, 0.0), table, 0.04, grid)
 
-    def test_outside_extent(self, table):
-        assert not sc.is_valid_placement((0.801, 0.0), table, [], 0.0)
+    def test_outside_extent(self, table, monkeypatch):
+        grid = sc.plane_feature_stack(table, [])
+        # no SDF is looked up when every point fails the extent test
+        monkeypatch.setattr(sc, "_sdf_lookup", None)
+        assert not sc.is_valid_placement((0.801, 0.0), table, 0.0, grid)
+        assert not sc.is_valid_placement([(0.0, -0.5), (np.nan, 0.0)], table,
+                                         0.0, grid).any()
 
     def test_occupied_footprint_center(self, table):
-        objs = [cup(0.2, 0.1)]
-        assert not sc.is_valid_placement((0.2, 0.1), table, objs, 0.0)
+        grid = sc.plane_feature_stack(table, [cup(0.2, 0.1)])
+        assert not sc.is_valid_placement((0.2, 0.1), table, 0.0, grid)
 
     def test_monotone_in_radius(self, table):
         objs = [cup(0.3, 0.0)]
@@ -293,8 +307,7 @@ class TestValidPlacement:
         for _ in range(100):
             p = rng.uniform((-0.8, -0.4), (0.8, 0.4))
             radii = sorted(rng.uniform(0.0, 0.2, size=3))
-            flags = [sc.is_valid_placement(p, table, objs, r, grid=grid)
-                     for r in radii]
+            flags = [sc.is_valid_placement(p, table, r, grid) for r in radii]
             # once invalid at a small radius, invalid at all larger radii
             for small, large in zip(flags, flags[1:]):
                 assert small or not large
@@ -313,31 +326,28 @@ class TestVectorisedGeometry:
     def test_sdf_array_matches_point_calls(self, table):
         grid = sc.plane_feature_stack(table, [cup(0.2, 0.1), cup(-0.4, -0.2)])
         for points in self.queries(table):
-            values = sc.sdf_bilinear(grid, points)
+            values = sdf_lookup(grid, points)
             assert values.shape == points.shape[:-1]
             flat = points.reshape(-1, 2)
-            expected = np.array([sc.sdf_bilinear(grid, p) for p in flat])
+            expected = np.array([sdf_lookup(grid, p) for p in flat])
             assert np.array_equal(values.ravel(), expected)
-        assert isinstance(sc.sdf_bilinear(grid, (0.1, 0.1)), float)
 
     def test_validity_array_matches_point_calls(self, table):
         objs = [cup(0.2, 0.1), cup(-0.4, -0.2, half=0.08)]
         grid = sc.plane_feature_stack(table, objs)
         for points in self.queries(table):
             for r in (0.0, 0.045, 0.1):
-                flags = sc.is_valid_placement(points, table, objs, r, grid=grid)
+                flags = sc.is_valid_placement(points, table, r, grid)
                 assert flags.shape == points.shape[:-1] and flags.dtype == bool
-                expected = [bool(sc.is_valid_placement(p, table, objs, r, grid=grid))
+                expected = [bool(sc.is_valid_placement(p, table, r, grid))
                             for p in points.reshape(-1, 2)]
                 assert flags.ravel().tolist() == expected
-                # the grid built on demand gives the same mask
-                assert np.array_equal(
-                    sc.is_valid_placement(points, table, objs, r), flags)
 
     def test_non_finite_points_are_invalid(self, table):
         points = np.array([[np.nan, 0.0], [0.0, np.inf], [0.0, 0.0]])
+        grid = sc.plane_feature_stack(table, [])
         with np.errstate(all="raise"):
-            flags = sc.is_valid_placement(points, table, [], 0.05)
+            flags = sc.is_valid_placement(points, table, 0.05, grid)
         assert flags.tolist() == [False, False, True]
 
     def test_overshoot_outside_hull_vs_dense_oracle(self, table):
@@ -349,7 +359,7 @@ class TestVectorisedGeometry:
             rng.uniform((-1.2, -0.6), (-0.78, 0.6), size=(50, 2)),
             rng.uniform((0.78, 0.39), (1.2, 0.8), size=(50, 2)),
             rng.uniform((-0.7, 0.39), (0.7, 0.9), size=(50, 2))])
-        values = sc.sdf_bilinear(grid, points)
+        values = sdf_lookup(grid, points)
         g = grid.sdf
         for (x, y), value in zip(points, values):
             u = (x + 0.8) / cw - 0.5

@@ -409,6 +409,15 @@ def test_lbfgs_rosenbrock():
     assert np.allclose(x, [1.0, 1.0], atol=1e-5)
 
 
+@pytest.mark.parametrize("max_iters", [0, -2])
+def test_lbfgs_no_iterations_returns_start(max_iters):
+    x0 = np.array([-1.2, 1.0])
+    x, hist = tj.lbfgs_minimize(rosenbrock, x0, max_iters=max_iters)
+    assert hist["iterations"] == 0 and hist["evaluations"] == 1
+    assert hist["status"] == "max_iters"
+    assert np.array_equal(x, x0) and x is not x0
+
+
 def test_lbfgs_values_monotone():
     def f(x):
         return float((x ** 4).sum() + (x ** 2).sum()), 4 * x ** 3 + 2 * x
